@@ -2,10 +2,16 @@
 
 A differential oracle that never fires is indistinguishable from one
 that cannot fire.  This script proves the oracle's teeth by seeding one
-bug into each engine and confirming the oracle detects both:
+bug into each engine and confirming the oracle detects every one:
 
 * fast path only: ``decode._BIN_OPS["sub"]`` compiled as ``+`` (the
   reference interpreter is untouched);
+* vector engine only: ``vcodegen._BIN_OPS`` rebound to a copy with
+  ``sub`` as ``+``, so the solo and sink-attached paths stay correct
+  and only the no-sink batch engine is wrong.  It runs with
+  ``REPRO_CACHE=0``, so the generated source cannot come from the
+  store and the sanitizer's cached-source comparison cannot be what
+  catches it: detection has to come from the fast-vs-reference diff;
 * reference only: ``interpreter._COND["ble"]`` evaluated as ``<`` (the
   decoder compiles branch conditions from its own table);
 * batching layer only: a policy that silently drops one request from
@@ -19,8 +25,8 @@ disabled (``spin_k`` pushed beyond the step budget) - demonstrating
 the escape hatch, not luck, is what terminates it.
 
 Every generated program contains a fused ``sub`` and a ``ble`` loop
-branch in its prologue precisely so these two mutations are detectable
-on any spec.  The script also exercises the shrinker and repro-file
+branch in its prologue precisely so these mutations are detectable on
+any spec.  The script also exercises the shrinker and repro-file
 round trip on a mutated failure.
 
 Run with ``PYTHONPATH=src python scripts/fuzz_selfcheck.py``; exits
@@ -38,6 +44,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import repro.engine.decode as decode
 import repro.engine.interpreter as interpreter
+import repro.engine.vcodegen as vcodegen
 from repro.batching import policies
 from repro.engine.lockstep import ExecutionError, MinSpPcExecutor
 from repro.engine.memory import MemoryImage
@@ -66,6 +73,24 @@ def mutated(table, key, value):
         table[key] = original
 
 
+@contextlib.contextmanager
+def vector_only_sub_bug():
+    """``sub`` compiled as ``+`` in the vector engine's code generator
+    alone, with the persistent store off."""
+    original = vcodegen._BIN_OPS
+    saved_cache = os.environ.get("REPRO_CACHE")
+    vcodegen._BIN_OPS = {**original, "sub": "+"}
+    os.environ["REPRO_CACHE"] = "0"
+    try:
+        yield
+    finally:
+        vcodegen._BIN_OPS = original
+        if saved_cache is None:
+            os.environ.pop("REPRO_CACHE", None)
+        else:
+            os.environ["REPRO_CACHE"] = saved_cache
+
+
 def main() -> int:
     rng = random.Random(BASE_SEED)
     specs = [gen_spec(rng) for _ in range(N_SPECS)]
@@ -84,6 +109,16 @@ def main() -> int:
           f"{detected}/{N_SPECS} specs (want {N_SPECS})")
     if detected != N_SPECS:
         failures.append("fast-path mutation escaped the oracle")
+
+    with vector_only_sub_bug():
+        results = [check_spec(s) for s in specs]
+    detected = sum(map(bool, results))
+    first = next((ms[0] for ms in results if ms), "none")
+    print(f"vector-only mutation (vcodegen sub compiled as +): detected "
+          f"on {detected}/{N_SPECS} specs (want {N_SPECS}); first: "
+          f"{first}")
+    if detected != N_SPECS:
+        failures.append("vector-only mutation escaped the oracle")
 
     with mutated(interpreter._COND, "ble", lambda a, b: a < b):
         detected = sum(bool(check_spec(s)) for s in specs)

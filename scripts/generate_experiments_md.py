@@ -187,15 +187,16 @@ def main() -> None:
         "on any divergence. Either way the numbers below are "
         "byte-identical.",
         "",
-        "Cold-run wall time is bounded by the instruction-level "
-        "engine, which since the vectorized structure-of-arrays "
-        "rework runs batches at ~1.9x and single requests at ~1.2x "
-        "the previous interpreter's rate "
-        "(`BENCH_simulator_speed.json`; the 3x target of the "
-        "vectorization issue proved out of reach at the CPython "
-        "dispatch floor, see DESIGN.md). `REPRO_VECTOR=0` selects the "
-        "slower scalar engine and must not change a single byte of "
-        "this file.",
+        "Cold-run wall time is bounded by the timing model (core "
+        "event processing and the memory hierarchy, ~80% of a "
+        "profiled cold `run_all`), not by the instruction engine: in "
+        "the end-to-end benchmark (`simbench/`) the four-design chip "
+        "workload `chip_cold` costs ~8.6 CPU-seconds per pass against "
+        "~2 s for the batch-execution workload `batch_fresh`. Batches "
+        "run on the vectorized structure-of-arrays engine, with the "
+        "reference interpreter as its oracle; running the reference "
+        "engine instead (`fastpath=False`) must not change a single "
+        "byte of this file.",
         "",
         "All measured numbers come from the approximate Python models "
         "described in DESIGN.md; the reproduction targets the paper's "

@@ -11,12 +11,12 @@ The hash covers register snapshots, call stacks, syscall traces, the
 written-memory image and the full ``LockstepResult`` counters - the
 exact field set ``tests/test_differential_fastpath.py`` compares.
 
-The dump is a *differential unit*: CI runs this script under the
-default engine configuration and again under the bit-identity witness
-toggles (``REPRO_MEMO=0 REPRO_BOUNDED=0``, and ``REPRO_VECTOR=0``)
-and diffs the outputs.  Any divergence names the exact service/policy
-cell that broke, which is far cheaper to triage than a failed
-end-to-end byte compare.
+The full 60-line dump is pinned in ``tests/data/ref_state_digests.txt``
+and ``tests/test_determinism_refs.py`` regenerates and compares it, so
+any engine change that moves architectural state fails with the exact
+service/policy cell that broke - far cheaper to triage than a failed
+end-to-end byte compare.  Regenerate the pin only for a change that is
+meant to alter simulated results.
 
 Usage::
 

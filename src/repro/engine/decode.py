@@ -14,12 +14,11 @@ On top of the handler table, straight-line *superblocks* are fused: a
 maximal run of branch-free ALU/MUL instructions inside one basic block
 (found with the existing :mod:`repro.isa.cfg` analysis) becomes a single
 composite function that retires the whole run for one thread without
-re-entering the dispatch loop.  Fused blocks are only usable on the
-sink-free fast path - they are register-only, so they produce no memory
-events, no branch outcomes and no per-step records a sink could need -
-and every per-event counter (``steps``, ``scalar_instructions``,
-``retired``) is accounted exactly as if the run had been stepped
-one instruction at a time.
+re-entering the dispatch loop.  Fused blocks are register-only, so they
+produce no memory events and no branch outcomes: a sink sees one
+empty-addrs event per fused pc, and every per-event counter
+(``steps``, ``scalar_instructions``, ``retired``) is accounted exactly
+as if the run had been stepped one instruction at a time.
 
 The correctness contract is *bit-identical equivalence* with the
 reference interpreter: for any program and any batch, the fast path must
@@ -43,16 +42,12 @@ return-address slot, rets the popped one).  They are what lets the
 executors keep the pre-decoded fast path when a :class:`~repro.engine.
 events.StepSink` is attached.
 
-Since the vectorized structure-of-arrays engine landed
-(:mod:`repro.engine.vector` / :mod:`repro.engine.vcodegen`), this
-per-thread fast path is no longer the default batch execution engine:
-batch executors dispatch to the vector engine unless ``REPRO_VECTOR=0``
-or a sink is attached.  It remains load-bearing three ways - as the
-``solo`` policy's engine, as the sink-attached engine, and as the
-scalar differential witness the vector engine is required to match
-bit-for-bit (``tests/test_vector_engine.py``).  The ``RK_*`` re-key
-codes defined here are shared vocabulary with the vector engine's
-compiled dispatch tables.
+Batch executors without a sink run the vectorized structure-of-arrays
+engine instead (:mod:`repro.engine.vector` /
+:mod:`repro.engine.vcodegen`); this per-thread fast path is the
+``solo`` policy's engine and the sink-attached engine.  The ``RK_*``
+re-key codes defined here are shared vocabulary with the vector
+engine's compiled dispatch tables.
 """
 
 from __future__ import annotations

@@ -23,12 +23,13 @@ Every executor has two execution engines:
   ``fastpath=False`` is requested; it is the oracle the fast paths are
   differentially tested against.
 
-* the **fast-path engine** — pre-decoded handler dispatch plus
-  superblock fusion (:mod:`repro.engine.decode`).  When a sink is
-  attached the executors switch to the pre-decoded *tracing* handlers,
-  which record ``(tid, addr, size)`` tuples inline, so per-step events
-  are produced without falling back to slow dispatch.  Both variants
-  are required to leave architectural state, every
+* the **fast-path engine**, one per situation: batch executors
+  without a sink run the vectorized structure-of-arrays engine
+  (:mod:`repro.engine.vector`); solo execution and every executor with
+  a sink attached run pre-decoded handler dispatch plus superblock
+  fusion (:mod:`repro.engine.decode`), the sink variants through the
+  *tracing* handlers, which record ``(tid, addr, size)`` tuples inline.
+  Each is required to leave architectural state, every
   :class:`LockstepResult` counter *and* the emitted event stream
   bit-identical to the reference engine;
   ``tests/test_differential_fastpath.py`` and the fuzz oracle enforce
@@ -46,7 +47,6 @@ from ..sanitize import check, sanitizer_enabled
 from .decode import RK_BRANCH, RK_CALL, RK_FALL, RK_JUMP, RK_RET
 from .events import LockstepResult, StepSink
 from .interpreter import execute
-from .lanes import vector_enabled
 from .memory import MemoryImage
 from .thread import ThreadState
 
@@ -305,9 +305,7 @@ class IpdomExecutor(_BaseLockstep):
         if not self.fastpath:
             return self._run_reference(threads, mem)
         if self.sink is None:
-            if vector_enabled():
-                return _vector().run_ipdom(self, threads, mem)
-            return self._run_fast(threads, mem)
+            return _vector().run_ipdom(self, threads, mem)
         return self._run_fast_sink(threads, mem)
 
     def _sink_widths(self, n_threads: int) -> Optional[List[int]]:
@@ -315,113 +313,15 @@ class IpdomExecutor(_BaseLockstep):
         the true group size (:class:`PredicatedExecutor` overrides)."""
         return None
 
-    def _run_fast(self, threads: Sequence[ThreadState],
-                  mem: MemoryImage) -> LockstepResult:
-        prog = self.program
-        decoded = prog.decoded
-        handlers = decoded.handlers
-        fused = decoded.superblocks
-        is_branch = decoded.is_branch
-        reconv_override = self.reconv_override
-        cfg = self.cfg
-        max_steps = self.max_steps
-        end = len(prog)
-        san = sanitizer_enabled()
-        alive = {t.tid for t in threads} if san else None
-        retired0 = sum(t.retired for t in threads) if san else 0
-        # stack entries: (threads_in_region, reconvergence_pc)
-        stack: List[Tuple[List[ThreadState], int]] = [(list(threads), end)]
-        steps = 0
-        scalar = 0
-        branches = 0
-        divergent = 0
-        truncated = False
-
-        while stack:
-            region, reconv = stack[-1]
-            running = [t for t in region if not t.halted and t.pc != reconv]
-            if not running:
-                stack.pop()
-                continue
-            if steps >= max_steps:
-                truncated = True
-                break
-            pc = running[0].pc
-            for t in running:
-                if t.pc != pc:
-                    raise ExecutionError(
-                        f"{prog.name}: IPDOM invariant broken at pc {pc} "
-                        f"vs {t.pc} (irreducible control flow?)"
-                    )
-            if san:
-                _san_group(prog.name, running, alive, pc)
-            f = fused[pc]
-            if f is not None:
-                k = f[0]
-                # a fused run may end exactly at the reconvergence pc
-                # (the re-filter above catches the threads there) but
-                # must never cross it mid-run (possible only with
-                # speculative reconv overrides; CFG reconv pcs are
-                # block leaders, which no run interior contains)
-                if steps + k <= max_steps and not (pc < reconv < pc + k):
-                    fn = f[1]
-                    for t in running:
-                        fn(t)
-                    steps += k
-                    scalar += k * len(running)
-                    continue
-            h = handlers[pc]
-            n = len(running)
-            if is_branch[pc]:
-                outs = [h(t, mem) for t in running]
-                steps += 1
-                scalar += n
-                branches += 1
-                first = outs[0]
-                diverged = False
-                for o in outs:
-                    if o != first:
-                        diverged = True
-                        break
-                if diverged:
-                    divergent += 1
-                    rpc = reconv_override.get(pc)
-                    if rpc is None:
-                        rpc = cfg.reconvergence_pc(pc)
-                    taken_pc = prog.target_of(pc)
-                    taken = [t for t in running if t.pc == taken_pc]
-                    not_taken = [t for t in running if t.pc != taken_pc]
-                    # execute the lower-pc side first (MinPC-style order)
-                    first_side, second = (taken, not_taken)
-                    if not_taken and taken and not_taken[0].pc < taken_pc:
-                        first_side, second = not_taken, taken
-                    stack.append((second, rpc))
-                    stack.append((first_side, rpc))
-            else:
-                for t in running:
-                    h(t, mem)
-                steps += 1
-                scalar += n
-
-        if san:
-            _san_result(prog.name, threads, retired0, scalar)
-        return LockstepResult(
-            batch_size=len(threads),
-            steps=steps,
-            scalar_instructions=scalar,
-            divergent_branches=divergent,
-            branches=branches,
-            retired_per_thread=[t.retired for t in threads],
-            truncated=truncated,
-        )
-
     def _run_fast_sink(self, threads: Sequence[ThreadState],
                        mem: MemoryImage) -> LockstepResult:
-        """`_run_fast` with per-step event emission via the tracing
-        handler table.  Must produce the exact event stream of
+        """Pre-decoded dispatch with per-step event emission via the
+        tracing handler table.  Must produce the exact event stream of
         `_run_reference` (group order gives address order; superblocks
-        expand to one empty-addrs event per fused pc).  The ``addrs``
-        list is reused across steps - sinks must copy what they keep.
+        expand to one empty-addrs event per fused pc; a fused run may
+        end exactly at the reconvergence pc but never crosses it).  The
+        ``addrs`` list is reused across steps - sinks must copy what
+        they keep.
         """
         prog = self.program
         decoded = prog.decoded
@@ -632,191 +532,20 @@ class MinSpPcExecutor(_BaseLockstep):
         if not self.fastpath:
             return self._run_reference(threads, mem)
         if self.sink is None:
-            if vector_enabled():
-                return _vector().run_minsp(self, threads, mem)
-            return self._run_fast(threads, mem)
+            return _vector().run_minsp(self, threads, mem)
         return self._run_fast_sink(threads, mem)
-
-    def _run_fast(self, threads: Sequence[ThreadState],
-                  mem: MemoryImage) -> LockstepResult:
-        """Incremental-grouping fast loop.
-
-        The reference engine rebuilds the (depth, pc) group map from
-        scratch every step (O(batch) per issued instruction); here only
-        the threads of the executed group are re-keyed.  Group lists are
-        kept tid-sorted so per-step execution order - and therefore
-        every racy memory interleaving - matches the reference engine
-        exactly.
-        """
-        prog = self.program
-        decoded = prog.decoded
-        handlers = decoded.handlers
-        fused = decoded.superblocks
-        rekey = decoded.rekey
-        is_atomic = decoded.is_atomic
-        max_steps = self.max_steps
-        spin_k = self.spin_k
-        spin_b = self.spin_b
-        spin_t = self.spin_t
-        san = sanitizer_enabled()
-        alive = {t.tid for t in threads} if san else None
-        retired0 = sum(t.retired for t in threads) if san else 0
-
-        steps = 0
-        scalar = 0
-        branches = 0
-        divergent = 0
-        truncated = False
-
-        last_atomic_step = -(10**9)
-        boost_remaining = 0
-        last_executed: Dict[int, int] = {t.tid: 0 for t in threads}
-
-        groups: Dict[Tuple[int, int], List[ThreadState]] = {}
-        for t in threads:  # tid order -> tid-sorted group lists
-            if not t.halted:
-                groups.setdefault((-len(t.call_stack), t.pc), []).append(t)
-
-        while groups:
-            if steps >= max_steps:
-                truncated = True
-                break
-
-            if boost_remaining > 0 and len(groups) > 1:
-                boost_remaining -= 1
-                # oldest-waiter first; ties resolve to the lowest-tid
-                # group, matching the reference engine's insertion order
-                key = min(
-                    groups,
-                    key=lambda k: (
-                        min(last_executed[t.tid] for t in groups[k]),
-                        groups[k][0].tid,
-                    ),
-                )
-            else:
-                key = min(groups)  # deepest call, then lowest pc
-
-            group = groups.pop(key)
-            pc = key[1]
-            if san:
-                _san_group(prog.name, group, alive, pc, depth=-key[0])
-
-            f = fused[pc]
-            if (f is not None
-                    and steps + f[0] <= max_steps
-                    # no spin-escape check can fire during the run: the
-                    # atomics window must already be stale for its first
-                    # fused step (runs contain no atomics, so it only
-                    # gets staler)
-                    and steps + 1 - last_atomic_step > spin_b
-                    # an active boost re-ranks groups every step
-                    and (boost_remaining == 0 or not groups)):
-                k = f[0]
-                fusable = True
-                if groups:
-                    depth = key[0]
-                    hi = pc + k
-                    for d2, p2 in groups:
-                        # a same-depth group strictly inside the run
-                        # would merge with (or preempt) us mid-run
-                        if d2 == depth and pc < p2 < hi:
-                            fusable = False
-                            break
-                if fusable:
-                    fn = f[1]
-                    for t in group:
-                        fn(t)
-                    steps += k
-                    scalar += k * len(group)
-                    for t in group:
-                        last_executed[t.tid] = steps
-                    _regroup_insert(groups, (key[0], pc + k), group)
-                    continue
-
-            h = handlers[pc]
-            n = len(group)
-            rk = rekey[pc]
-            kind = rk[0]
-            outs = None
-            uniform = True
-            if kind == RK_BRANCH:
-                outs = [h(t, mem) for t in group]
-                branches += 1
-                first = outs[0]
-                for o in outs:
-                    if o != first:
-                        uniform = False
-                        divergent += 1
-                        break
-            else:
-                for t in group:
-                    h(t, mem)
-            steps += 1
-            scalar += n
-            for t in group:
-                last_executed[t.tid] = steps
-            if is_atomic[pc]:
-                last_atomic_step = steps
-
-            # Spin-lock escape (see _run_reference); the popped group
-            # counts toward the reference's len(groups) > 1 condition,
-            # so the remaining map only needs to be non-empty.  The
-            # cheap atomics-window test goes first: computing the
-            # oldest waiter is O(batch).
-            if (boost_remaining == 0 and groups
-                    and steps - last_atomic_step <= spin_b):
-                oldest = min(
-                    last_executed[t.tid] for t in threads if not t.halted
-                )
-                if steps - oldest >= spin_k:
-                    boost_remaining = spin_t
-
-            # re-key the executed group: O(1) whole-group moves for
-            # straight-line code, per-outcome partition for branches,
-            # per-thread buckets only for ret (threads of one (depth,
-            # pc) group may hold different return addresses)
-            if kind == RK_FALL:
-                _regroup_insert(groups, (key[0], pc + 1), group)
-            elif kind == RK_BRANCH:
-                if uniform:
-                    npc = rk[1] if outs[0] else pc + 1
-                    _regroup_insert(groups, (key[0], npc), group)
-                else:
-                    taken = [t for t, o in zip(group, outs) if o]
-                    fell = [t for t, o in zip(group, outs) if not o]
-                    _regroup_insert(groups, (key[0], rk[1]), taken)
-                    _regroup_insert(groups, (key[0], pc + 1), fell)
-            elif kind == RK_JUMP:
-                _regroup_insert(groups, (key[0], rk[1]), group)
-            elif kind == RK_CALL:
-                _regroup_insert(groups, (key[0] - 1, rk[1]), group)
-            elif kind == RK_RET:
-                d2 = key[0] + 1
-                buckets: Dict[int, List[ThreadState]] = {}
-                for t in group:
-                    buckets.setdefault(t.pc, []).append(t)
-                for p2, moved in buckets.items():
-                    _regroup_insert(groups, (d2, p2), moved)
-            # RK_HALT: the whole group halted and leaves the schedule
-
-        if san:
-            _san_result(prog.name, threads, retired0, scalar)
-        return LockstepResult(
-            batch_size=len(threads),
-            steps=steps,
-            scalar_instructions=scalar,
-            divergent_branches=divergent,
-            branches=branches,
-            retired_per_thread=[t.retired for t in threads],
-            truncated=truncated,
-        )
 
     def _run_fast_sink(self, threads: Sequence[ThreadState],
                        mem: MemoryImage) -> LockstepResult:
-        """`_run_fast` (incremental grouping) with per-step events via
-        the tracing handler table.  Group lists stay tid-sorted, so the
-        per-step execution order - and therefore the address order in
-        every emitted event - matches the reference engine exactly.
+        """Incremental-grouping fast loop with per-step events via the
+        tracing handler table.
+
+        The reference engine rebuilds the (depth, pc) group map from
+        scratch every step (O(batch) per issued instruction); here only
+        the threads of the executed group are re-keyed.  Group lists
+        stay tid-sorted, so the per-step execution order - and
+        therefore every racy memory interleaving and the address order
+        in every emitted event - matches the reference engine exactly.
         The ``addrs`` list is reused across steps.
 
         Sinks that *mutate* the batch (append threads mid-run) are
@@ -955,7 +684,11 @@ class MinSpPcExecutor(_BaseLockstep):
             if is_atomic[pc]:
                 last_atomic_step = steps
 
-            # Spin-lock escape (see _run_fast)
+            # Spin-lock escape (see _run_reference); the popped group
+            # counts toward the reference's len(groups) > 1 condition,
+            # so the remaining map only needs to be non-empty.  The
+            # cheap atomics-window test goes first: computing the
+            # oldest waiter is O(batch).
             if (boost_remaining == 0 and groups
                     and steps - last_atomic_step <= spin_b):
                 oldest = min(

@@ -1,11 +1,11 @@
 """Vectorized lockstep execution loops over structure-of-arrays state.
 
-These are the batch-call twins of ``IpdomExecutor._run_fast`` and
-``MinSpPcExecutor._run_fast``: the same schedulers, but each scheduled
-group executes through one generated batch function per *group-step*
-(or per whole basic block) instead of one handler call per *lane*
-(:mod:`repro.engine.vcodegen`), over :class:`repro.engine.lanes.
-LaneState` arrays instead of ``ThreadState`` attributes.
+This is the no-sink fast path of ``IpdomExecutor`` and
+``MinSpPcExecutor``: the reference engine's schedulers, but each
+scheduled group executes through one generated batch function per
+*group-step* (or per whole basic block) instead of one interpreter call
+per *lane* (:mod:`repro.engine.vcodegen`), over :class:`repro.engine.
+lanes.LaneState` lists instead of ``ThreadState`` attributes.
 
 Execution grains, coarsest first:
 
@@ -32,15 +32,15 @@ Execution grains, coarsest first:
   deeper group cannot exist, it would have been selected first, and a
   shallower one never outranks us);
 * **ALU-run suffix** (``runs[pc]``) for mid-block entries, under
-  exactly the scalar engine's fused-superblock guards;
+  exactly the sink-attached fast path's fused-superblock guards;
 * **one batch step** (``ghandlers[pc]``) otherwise.
 
 Counters (``steps``/``scalar``/``branches``/``divergent``), retired
 accounting, spin-escape and boost bookkeeping, group orders and every
-memory interleaving are maintained exactly as in the scalar loops;
-``tests/test_vector_engine.py`` and the fuzz oracle enforce
-bit-identity, and ``REPRO_VECTOR=0`` keeps the scalar loops available
-as a live differential witness.
+memory interleaving are maintained exactly as in the reference loops
+(``fastpath=False``), the engine's one oracle;
+``tests/test_differential_fastpath.py``, ``tests/test_vector_engine.py``,
+the pinned state digests and the fuzz oracle enforce bit-identity.
 
 Retired counts are batched per group: a group carries a *pending*
 per-lane delta that flushes into the lane's retired vector whenever the
@@ -54,10 +54,9 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from ..sanitize import sanitizer_enabled
-from . import memo
 from .decode import RK_BRANCH, RK_CALL, RK_FALL, RK_HALT, RK_JUMP, RK_RET
 from .events import LockstepResult
-from .lanes import LaneState, bounded_call, bounded_enabled
+from .lanes import LaneState
 from .lockstep import ExecutionError, _san_result
 
 
@@ -92,7 +91,7 @@ def _insert(groups: Dict, key, lanes: List[int], pending: int,
 
 def _interior_clear(groups: Dict, depth: int, lo: int, hi: int) -> bool:
     """True when no other group at ``depth`` is keyed strictly inside
-    (lo, hi) — the scalar engine's mid-run merge/preemption guard."""
+    (lo, hi) — the fused-run mid-run merge/preemption guard."""
     for d2, p2 in groups:
         if d2 == depth and lo < p2 < hi:
             return False
@@ -145,8 +144,6 @@ def run_minsp(ex, threads, mem) -> LockstepResult:
     store = mem._store
     salt = mem.salt
     n_lanes = ls.n
-    mt = memo.table_for(vdec) if memo.memo_enabled() else None
-    bnd = bounded_enabled()
 
     steps = 0
     scalar = 0
@@ -158,11 +155,9 @@ def run_minsp(ex, threads, mem) -> LockstepResult:
 
     # group record: [lanes, pending_retired, min_last_executed_step]
     groups: Dict[Tuple[int, int], list] = {}
-    pcl = pcv.tolist()
-    hl = hv.tolist()
     for i in range(n_lanes):  # lane order == tid order
-        if not hl[i]:
-            key = (-len(cs[i]), pcl[i])
+        if not hv[i]:
+            key = (-len(cs[i]), pcv[i])
             rec = groups.get(key)
             if rec is None:
                 groups[key] = [[i], 0, 0]
@@ -199,8 +194,6 @@ def run_minsp(ex, threads, mem) -> LockstepResult:
         k = 0
         dd = 0
         fall = -1
-        meta = None
-        bt = None
         chl = vchains[pc]
         if chl is not None:
             if not groups:
@@ -210,7 +203,6 @@ def run_minsp(ex, threads, mem) -> LockstepResult:
                     if steps + ch[0] <= max_steps:
                         k, fn, rkc, tgt, fall, _bpc, has_at, lat, dd \
                             = ch[:9]
-                        meta = ch[12]
                         break
             elif (steps + 1 - last_atomic_step > spin_b
                     and min_sel and boost_remaining == 0):
@@ -233,15 +225,13 @@ def run_minsp(ex, threads, mem) -> LockstepResult:
                     if ok:
                         k, fn, rkc, tgt, fall, _bpc, has_at, lat, dd \
                             = ch[:9]
-                        meta = ch[12]
                         break
         if k == 0:
             vb = vblocks[pc]
             if vb is not None:
                 if not groups:
                     if steps + vb[0] <= max_steps:
-                        k, fn, rkc, tgt, has_at, lat = vb[:6]
-                        meta, bt = vb[6], vb[7]
+                        k, fn, rkc, tgt, has_at, lat = vb
                 elif (not vb[4]
                         and steps + vb[0] <= max_steps
                         and steps + 1 - last_atomic_step > spin_b
@@ -250,8 +240,7 @@ def run_minsp(ex, threads, mem) -> LockstepResult:
                         # preempt us at an interior re-key
                         and min_sel and boost_remaining == 0
                         and _interior_clear(groups, depth, pc, pc + vb[0])):
-                    k, fn, rkc, tgt, has_at, lat = vb[:6]
-                    meta, bt = vb[6], vb[7]
+                    k, fn, rkc, tgt, has_at, lat = vb
         if k == 0:
             vr = vruns[pc]
             if (vr is not None
@@ -259,7 +248,7 @@ def run_minsp(ex, threads, mem) -> LockstepResult:
                     and steps + 1 - last_atomic_step > spin_b
                     and (boost_remaining == 0 or not groups)
                     and _interior_clear(groups, depth, pc, pc + vr[0])):
-                k, fn, meta, bt = vr
+                k, fn = vr
                 rkc, tgt, has_at, lat = RK_FALL, 0, False, -1
             else:
                 k = 1
@@ -271,14 +260,7 @@ def run_minsp(ex, threads, mem) -> LockstepResult:
         if fall < 0:  # single-block grains: covered pcs are contiguous
             fall = pc + k
 
-        if mt is not None and meta is not None:
-            res = mt.invoke(meta, fn, bt if bnd else None, idx, R, cs,
-                            sy, pcv, hv, store, salt)
-        elif bt is not None and bnd:
-            res = bounded_call(bt, fn, idx, R, cs, sy, pcv, hv, store,
-                               salt)
-        else:
-            res = fn(idx, R, cs, sy, pcv, hv, store, salt)
+        res = fn(idx, R, cs, sy, pcv, hv, store, salt)
         steps += k
         scalar += k * n
         pending += k
@@ -286,7 +268,7 @@ def run_minsp(ex, threads, mem) -> LockstepResult:
             last_atomic_step = steps - k + lat + 1
         depth -= dd  # chained-through calls deepen the group's key
 
-        # spin-lock escape (see MinSpPcExecutor._run_fast); for k > 1
+        # spin-lock escape (see MinSpPcExecutor._run_reference); for k > 1
         # grains the guards above keep the window stale (or the
         # schedule empty), so this can only fire after single steps.
         # The oldest live lane is the min over waiting groups' stamps
@@ -329,8 +311,6 @@ def run_minsp(ex, threads, mem) -> LockstepResult:
                 pcv[i] = p2
                 retd[i] += pending2
 
-    if mt is not None:
-        mt.maybe_flush()
     ls.writeback(threads)
     if san:
         _san_result(prog.name, threads, retired0, scalar)
@@ -374,8 +354,6 @@ def run_ipdom(ex, threads, mem) -> LockstepResult:
     retd = ls.retired
     store = mem._store
     salt = mem.salt
-    mt = memo.table_for(vdec) if memo.memo_enabled() else None
-    bnd = bounded_enabled()
 
     steps = 0
     scalar = 0
@@ -393,13 +371,12 @@ def run_ipdom(ex, threads, mem) -> LockstepResult:
     live = ls.live_lanes()
     if live:
         if max_steps > 0:
-            pcl = pcv.tolist()
-            pc0 = pcl[live[0]]
+            pc0 = pcv[live[0]]
             for i in live[1:]:
-                if pcl[i] != pc0:
+                if pcv[i] != pc0:
                     raise ExecutionError(
                         f"{prog.name}: IPDOM invariant broken at pc "
-                        f"{pc0} vs {pcl[i]} (irreducible control "
+                        f"{pc0} vs {pcv[i]} (irreducible control "
                         f"flow?)"
                     )
             stack.append([live, pc0, end, 0])
@@ -426,8 +403,6 @@ def run_ipdom(ex, threads, mem) -> LockstepResult:
 
         k = 0
         fall = bpc = -1
-        meta = None
-        bt = None
         chl = vchains[pc]
         if chl is not None:
             # longest candidate that neither crosses the region's
@@ -444,7 +419,6 @@ def run_ipdom(ex, threads, mem) -> LockstepResult:
                         break
                 if ok:
                     k, fn, rkc, tgt, fall, bpc = ch[:6]
-                    meta = ch[12]
                     break
         if k == 0:
             vb = vblocks[pc]
@@ -455,13 +429,12 @@ def run_ipdom(ex, threads, mem) -> LockstepResult:
                 # block leaders)
                 if (steps + vb[0] <= max_steps
                         and not (pc < reconv < pc + vb[0])):
-                    k, fn, rkc, tgt = vb[0], vb[1], vb[2], vb[3]
-                    meta, bt = vb[6], vb[7]
+                    k, fn, rkc, tgt = vb[:4]
         if k == 0:
             vr = vruns[pc]
             if (vr is not None and steps + vr[0] <= max_steps
                     and not (pc < reconv < pc + vr[0])):
-                k, fn, meta, bt = vr
+                k, fn = vr
                 rkc, tgt = RK_FALL, 0
             else:
                 k = 1
@@ -472,14 +445,7 @@ def run_ipdom(ex, threads, mem) -> LockstepResult:
             fall = pc + k
             bpc = pc + k - 1
 
-        if mt is not None and meta is not None:
-            res = mt.invoke(meta, fn, bt if bnd else None, idx, R, cs,
-                            sy, pcv, hv, store, salt)
-        elif bt is not None and bnd:
-            res = bounded_call(bt, fn, idx, R, cs, sy, pcv, hv, store,
-                               salt)
-        else:
-            res = fn(idx, R, cs, sy, pcv, hv, store, salt)
+        res = fn(idx, R, cs, sy, pcv, hv, store, salt)
         steps += k
         scalar += k * n
         for i in idx:
@@ -554,8 +520,6 @@ def run_ipdom(ex, threads, mem) -> LockstepResult:
                 for i in moved:
                     pcv[i] = p2
 
-    if mt is not None:
-        mt.maybe_flush()
     ls.writeback(threads)
     if san:
         _san_result(prog.name, threads, retired0, scalar)

@@ -1,12 +1,15 @@
 """core.run helper tests: thread preparation and batch execution."""
 
+import dataclasses
 import random
 
 import pytest
 
+from repro.core import run as core_run
 from repro.core.run import prepare_threads, run_batch, run_solo
 from repro.engine import MemoryImage
 from repro.engine.events import InstructionMixSink
+from repro.engine.lockstep import IpdomExecutor
 from repro.memsys import SimrAwareAllocator
 from repro.workloads import get_service
 
@@ -66,3 +69,30 @@ def test_salt_changes_background_data(service, requests):
     a = run_batch(service, requests, salt=1)
     b = run_batch(service, requests, salt=1)
     assert a.steps == b.steps  # deterministic given salt
+
+
+def _prepared_run_state(service, requests, salt):
+    """Set up a batch through the run_batch/run_solo set-up path, run
+    it under ipdom and return every observable final state."""
+    threads, mem = core_run._prepare_batch(service, requests, salt)
+    result = IpdomExecutor(service.program).run(threads, mem)
+    return {
+        "result": dataclasses.asdict(result),
+        "snapshots": [t.snapshot() for t in threads],
+        "syscalls": [list(t.syscall_trace) for t in threads],
+        "call_stacks": [list(t.call_stack) for t in threads],
+        "memory": {a: mem.read(a) for a in sorted(mem.written_addresses())},
+    }
+
+
+def test_setup_cache_off_matches_default(monkeypatch):
+    """A set-up copied from the template cache runs to exactly the
+    state a fresh set-up (``REPRO_SETUP_CACHE=0``) does."""
+    service = get_service("post")
+    requests = service.generate_requests(12, random.Random(321))
+    monkeypatch.delenv("REPRO_SETUP_CACHE", raising=False)
+    _prepared_run_state(service, requests, salt=11)  # fills the template
+    assert core_run._SETUP_TEMPLATES[service]
+    cached = _prepared_run_state(service, requests, salt=11)
+    monkeypatch.setenv("REPRO_SETUP_CACHE", "0")
+    assert _prepared_run_state(service, requests, salt=11) == cached

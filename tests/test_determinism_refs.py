@@ -1,14 +1,20 @@
-"""Determinism pins for the fault/resilience PR.
+"""Determinism pins.
 
-Two contracts:
+Three contracts:
 
 * the fault/resilience layer is *opt-in*: with no injector armed, six
   existing experiments render byte-identically to reference stdouts
   captured before the layer existed (``tests/data/ref_stdout_*.txt``);
-* the new resilience sweep is itself deterministic: repeated runs and
-  ``--jobs 1`` vs ``--jobs 4`` produce byte-identical output.
+* the resilience sweep is itself deterministic: repeated runs and
+  ``--jobs 1`` vs ``--jobs 4`` produce byte-identical output;
+* the execution engines keep every service's architectural state under
+  every policy: ``scripts/state_digest.py`` reproduces the 60 digests
+  pinned in ``tests/data/ref_state_digests.txt``.
 """
 
+import contextlib
+import importlib.util
+import io
 from pathlib import Path
 
 import pytest
@@ -28,6 +34,7 @@ from repro.experiments import (
 from repro.experiments.common import set_default_jobs
 
 DATA = Path(__file__).parent / "data"
+STATE_DIGEST = Path(__file__).parent.parent / "scripts" / "state_digest.py"
 
 #: (reference file stem, experiment main, scale it was captured at)
 REFERENCES = [
@@ -50,6 +57,21 @@ def test_fault_free_output_matches_pre_change_reference(stem, main_fn,
     """The layer's no-op guarantee, pinned byte for byte."""
     ref = (DATA / f"ref_stdout_{stem}.txt").read_text()
     assert main_fn(scale) == ref
+
+
+def test_state_digests_match_pinned_reference():
+    """Every service x policy cell (registers, call stacks, syscall
+    traces, written memory and all ``LockstepResult`` counters) hashes
+    to the pinned digest."""
+    spec = importlib.util.spec_from_file_location("state_digest",
+                                                  STATE_DIGEST)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert script.main() == 0
+    ref = (DATA / "ref_state_digests.txt").read_text()
+    assert out.getvalue().splitlines() == ref.splitlines()
 
 
 def test_resilience_sweep_repeats_byte_identically():

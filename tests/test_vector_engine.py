@@ -1,12 +1,11 @@
-"""Differential gate: vectorized SoA engine vs its scalar witnesses.
+"""The vectorized structure-of-arrays engine against its oracle.
 
-The vectorized structure-of-arrays engine (``REPRO_VECTOR=1``, the
-default) must be *bit-identical* to the per-thread fast path it
-replaced (``REPRO_VECTOR=0``) under every policy - with the numpy
-backend, with the stdlib ``array`` backend (``REPRO_VECTOR_NUMPY=0``),
-and on an interpreter where numpy is not importable at all.  The same
-holds under the sanitizer and under step-budget truncation, and the
-generated-source cache must be provably keyed on program content.
+The vector engine is the only no-sink batch fast path; the reference
+interpreter (``fastpath=False``) is its oracle.  Bit-identity over
+every service and policy lives in ``tests/test_differential_fastpath.py``;
+this module pins the engine-specific edges: the sanitizer's lane/mask
+invariants, step-budget truncation at every grain size, the presence
+of the coarse grains, and the content-addressed generated-source cache.
 """
 
 import dataclasses
@@ -16,14 +15,12 @@ import pytest
 
 from repro import store
 from repro.core.run import prepare_threads
-from repro.engine import lanes, vcodegen
+from repro.engine import vcodegen
 from repro.engine.lockstep import make_executor
 from repro.engine.memory import MemoryImage
 from repro.memsys.alloc import SimrAwareAllocator
 from repro.sanitize import SanitizerError
 from repro.workloads.registry import get_service
-
-POLICIES = ["solo", "ipdom", "minsp_pc", "predicated"]
 
 #: the branchiest service (calls, divergent ifs, loops) - the one that
 #: exercises superblock chains, prefix cuts and matched call/ret elision
@@ -33,20 +30,17 @@ REQUEST_SEED = 321
 
 
 def _run(policy: str, salt: int = 0, n_requests: int = N_REQUESTS,
-         max_steps: int = 4_000_000):
+         max_steps: int = 4_000_000, fastpath: bool = True):
     """One full batch execution; returns every observable final state."""
     service = get_service(SERVICE)
     requests = service.generate_requests(
         n_requests, random.Random(REQUEST_SEED))
     mem = MemoryImage(salt=salt)
     threads = prepare_threads(service, requests, mem, SimrAwareAllocator())
-    ex = make_executor(service.program, policy, max_steps=max_steps)
-    if policy == "solo":
-        result = [ex.run(t, mem) for t in threads]
-    else:
-        result = dataclasses.asdict(ex.run(threads, mem))
+    ex = make_executor(service.program, policy, max_steps=max_steps,
+                       fastpath=fastpath)
     return {
-        "result": result,
+        "result": dataclasses.asdict(ex.run(threads, mem)),
         "snapshots": [t.snapshot() for t in threads],
         "syscalls": [list(t.syscall_trace) for t in threads],
         "call_stacks": [list(t.call_stack) for t in threads],
@@ -62,33 +56,6 @@ def _assert_same(a, b):
     assert a["result"] == b["result"]
 
 
-@pytest.mark.parametrize("policy", POLICIES)
-def test_vector_matches_scalar_fallback(policy, monkeypatch):
-    monkeypatch.delenv("REPRO_VECTOR", raising=False)
-    vec = _run(policy, salt=1)
-    monkeypatch.setenv("REPRO_VECTOR", "0")
-    _assert_same(vec, _run(policy, salt=1))
-
-
-@pytest.mark.parametrize("policy", POLICIES)
-def test_array_backend_matches_numpy(policy, monkeypatch):
-    monkeypatch.delenv("REPRO_VECTOR_NUMPY", raising=False)
-    default = _run(policy, salt=2)
-    monkeypatch.setenv("REPRO_VECTOR_NUMPY", "0")
-    assert lanes.backend_name() == "array"
-    _assert_same(default, _run(policy, salt=2))
-
-
-@pytest.mark.parametrize("policy", ["ipdom", "minsp_pc"])
-def test_numpy_absent_interpreter(policy, monkeypatch):
-    """With numpy made unimportable the engine silently runs on the
-    stdlib ``array`` backend and stays bit-identical."""
-    baseline = _run(policy, salt=3)
-    monkeypatch.setattr(lanes, "_NUMPY", False)
-    assert lanes.backend_name() == "array"
-    _assert_same(baseline, _run(policy, salt=3))
-
-
 @pytest.mark.parametrize("policy", ["ipdom", "minsp_pc", "predicated"])
 def test_sanitized_vector_run(policy, monkeypatch):
     """REPRO_SANITIZE=1 turns on the lane/mask/cache invariants; a
@@ -100,15 +67,13 @@ def test_sanitized_vector_run(policy, monkeypatch):
 
 @pytest.mark.parametrize("policy", ["ipdom", "minsp_pc"])
 @pytest.mark.parametrize("max_steps", [50, 500, 5000])
-def test_truncation_matches_scalar_fallback(policy, max_steps,
-                                            monkeypatch):
+def test_truncation_matches_scalar_fallback(policy, max_steps):
     """An exhausted step budget must stop the vector engine at exactly
-    the state the scalar fast path stops at: superblock chains may only
-    be entered when they fit in the remaining budget."""
-    monkeypatch.delenv("REPRO_VECTOR", raising=False)
+    the state the scalar reference interpreter stops at: superblock
+    chains may only be entered when they fit in the remaining budget."""
     vec = _run(policy, salt=5, max_steps=max_steps)
-    monkeypatch.setenv("REPRO_VECTOR", "0")
-    _assert_same(vec, _run(policy, salt=5, max_steps=max_steps))
+    _assert_same(vec, _run(policy, salt=5, max_steps=max_steps,
+                           fastpath=False))
 
 
 def test_vector_program_has_superblock_grains():
