@@ -188,11 +188,11 @@ def main() -> None:
         "byte-identical.",
         "",
         "Cold-run wall time is bounded by the timing model (core "
-        "event processing and the memory hierarchy, ~80% of a "
-        "profiled cold `run_all`), not by the instruction engine: in "
-        "the end-to-end benchmark (`simbench/`) the four-design chip "
-        "workload `chip_cold` costs ~8.6 CPU-seconds per pass against "
-        "~2 s for the batch-execution workload `batch_fresh`. Batches "
+        "event processing and the memory hierarchy, the largest share "
+        "of a profiled cold `run_all`), not by the instruction engine: "
+        "in the end-to-end benchmark (`simbench/`) the four-design chip "
+        "workload `chip_cold` costs ~5.7 CPU-seconds per pass against "
+        "~1.4 s for the batch-execution workload `batch_fresh`. Batches "
         "run on the vectorized structure-of-arrays engine, with the "
         "reference interpreter as its oracle; running the reference "
         "engine instead (`fastpath=False`) must not change a single "

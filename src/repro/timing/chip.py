@@ -8,26 +8,33 @@ single-node Accel-Sim runs.
 * CPU      - requests run back-to-back on one single-threaded core.
 * CPU-SMT8 - groups of 8 requests share the core's frontend and L1.
 * RPU      - batches (from the SIMR-aware server) run in lockstep.
-* GPU      - 16 warps (batches) are resident and interleave in-order.
+* GPU      - 32 warps (batches) are resident and interleave in-order.
 
 Two execution strategies produce bit-identical results:
 
 * ``streaming=True`` (default): executor events flow through a
   :class:`~repro.timing.streams.TimingSink` straight into an
-  incremental :class:`~repro.timing.core.CoreRun`, so traces are never
-  materialized (unless the trace cache records them);
+  incremental :class:`~repro.timing.core.CoreRun`.  Single-context
+  runs (CPU, RPU) time each event as it is executed; multi-context
+  runs (SMT-8, GPU) buffer one group's streams and time them when the
+  group finishes.  Nothing outlives its group unless the trace cache
+  records it;
 * ``streaming=False``: the original materialize-then-``CoreModel.run``
   pipeline, kept as the reference for differential checking.
 
 When the cross-config trace cache (:mod:`repro.timing.trace_cache`) is
 enabled, the streaming path replays memoized event streams instead of
-re-executing: CPU and CPU-SMT8 share solo traces, RPU and GPU share
-batch traces.  Callers supplying a bespoke ``allocator_factory``
-bypass the cache (allocator behaviour is part of the trace identity
-and arbitrary factories cannot be fingerprinted) unless they vouch for
-the factory by passing ``allocator_signature`` — the (class name,
-n_banks) tuple that keys the cache — asserting that those two values
-fully determine the factory's allocation behaviour.
+re-executing.  Solo traces are keyed by the worker pool, so CPU (one
+worker) and CPU-SMT8 (64 workers) each execute their own; they are
+shared between solo configs with the same pool, e.g. CPU and the
+in-order CPU of fig01.  Batch traces depend on the batch, policy and
+allocator but not on the timing config, so RPU and GPU (same batches,
+same SIMR-aware allocator) share them.  Callers supplying a bespoke
+``allocator_factory`` bypass the cache (allocator behaviour is part of
+the trace identity and arbitrary factories cannot be fingerprinted)
+unless they vouch for the factory by passing ``allocator_signature`` —
+the (class name, n_banks) tuple that keys the cache — asserting that
+those two values fully determine the factory's allocation behaviour.
 
 On top of the trace cache, whole *timed* results are persisted in the
 content-addressed store (:mod:`repro.store`): a ``run_chip`` call whose
@@ -51,15 +58,14 @@ from typing import Dict, List, Optional, Sequence
 from .. import sanitize
 from .. import store as disk_store
 from ..batching.policies import form_batches
-from ..engine.events import MultiSink
 from ..memsys.alloc import DefaultAllocator, SimrAwareAllocator
 from ..workloads.base import Microservice, Request
 from . import trace_cache
 from .config import CoreConfig
 from .core import CoreModel, CoreRunResult
 from .memhier import Counters
-from .streams import (ListSink, SoloRunner, TimingSink, batch_trace,
-                      replay_events, run_batch, solo_traces)
+from .streams import (SoloRunner, TimingSink, batch_trace, run_batch,
+                      solo_traces)
 
 #: executor step budgets (also part of the trace-cache key)
 SOLO_MAX_STEPS = 2_000_000
@@ -222,11 +228,14 @@ def _end_warmup(core, out, measured_requests):
 # ----------------------------------------------------------------------
 
 def _solo_source(core, service, requests, make_alloc, cache):
-    """Build a ``play(i, request, sink)`` callable plus a ``done()`` hook.
+    """Build a ``play(i, request, run, ctx)`` callable plus a ``done()``
+    hook.
 
-    On a cache hit ``play`` replays the memoized population trace; on a
-    miss it solo-executes live, teeing a recorder into the sink when a
-    cache is present so ``done()`` can store the population.
+    ``play`` times request ``i`` on context ``ctx`` of ``run``.  On a
+    cache hit it replays the memoized population trace; on a miss it
+    solo-executes live through a :class:`TimingSink`, which records the
+    events when a cache is present so ``done()`` can store the
+    population.
     """
     pool = core.cfg.worker_pool
     alloc = make_alloc()
@@ -235,26 +244,25 @@ def _solo_source(core, service, requests, make_alloc, cache):
                                    SOLO_MAX_STEPS, pool)
         hit = cache.get(key)
         if hit is not None:
-            def play(i, request, sink, _traces=hit):
-                replay_events(_traces[i], sink)
+            def play(i, request, run, ctx, _traces=hit):
+                run.replay(ctx, _traces[i])
             return play, lambda: None
 
     runner = SoloRunner(service, allocator=alloc,
                         max_steps=SOLO_MAX_STEPS, pool_size=pool)
     if cache is None:
-        def play(i, request, sink):
-            runner.run_request(i, request, sink)
+        def play(i, request, run, ctx):
+            runner.run_request(i, request, TimingSink(run, ctx))
         return play, lambda: None
 
-    recorders: List[ListSink] = []
+    recorded: List[tuple] = []
 
-    def play(i, request, sink):
-        rec = ListSink()
-        recorders.append(rec)
-        runner.run_request(i, request, MultiSink(rec, sink))
+    def play(i, request, run, ctx):
+        runner.run_request(i, request, TimingSink(run, ctx, record=True))
+        recorded.append(run.seal(ctx))
 
     def done():
-        traces = tuple(tuple(r.events) for r in recorders)
+        traces = tuple(recorded)
         cache.put(key, traces, sum(len(t) for t in traces))
 
     return play, done
@@ -283,7 +291,7 @@ def _run_mimd_sequential(core, service, requests, make_alloc, out,
         if i == n_warm:
             t0 = _end_warmup(core, out, len(requests) - n_warm)
         run = core.begin(1)
-        play(i, req, TimingSink(run, 0))
+        play(i, req, run, 0)
         res = run.finish()
         out.latencies_cycles.append(res.cycles)
     done()
@@ -320,7 +328,7 @@ def _run_smt(core, config, service, requests, make_alloc, out,
             t0 = _end_warmup(core, out, len(requests) - warm_traces)
         run = core.begin(len(group))
         for j, req in enumerate(group):
-            play(idx, req, TimingSink(run, j))
+            play(idx, req, run, j)
             idx += 1
         res = run.finish()
         out.latencies_cycles.extend(s.cycles for s in res.streams)
@@ -333,9 +341,10 @@ def _run_smt(core, config, service, requests, make_alloc, out,
 # ----------------------------------------------------------------------
 
 def _play_batch(service, batch, policy, make_alloc, reconv_override,
-                cache, sink):
-    """Drive ``sink`` with one batch's event stream; returns the batch's
-    SIMT efficiency (replayed from cache when possible)."""
+                cache, run, ctx):
+    """Time one batch's event stream on context ``ctx`` of ``run``;
+    returns the batch's SIMT efficiency (replayed from cache when
+    possible)."""
     alloc = make_alloc()
     if cache is not None:
         key = trace_cache.batch_key(service, batch, policy, alloc,
@@ -343,18 +352,16 @@ def _play_batch(service, batch, policy, make_alloc, reconv_override,
         hit = cache.get(key)
         if hit is not None:
             events, result = hit
-            replay_events(events, sink)
+            run.replay(ctx, events)
             return result.simt_efficiency
-        rec = ListSink()
-        result = run_batch(service, batch, MultiSink(rec, sink),
-                           policy=policy, allocator=alloc,
-                           reconv_override=reconv_override,
-                           max_steps=BATCH_MAX_STEPS)
-        cache.put(key, (tuple(rec.events), result), len(rec.events))
-        return result.simt_efficiency
-    result = run_batch(service, batch, sink, policy=policy,
-                       allocator=alloc, reconv_override=reconv_override,
+    result = run_batch(service, batch,
+                       TimingSink(run, ctx, record=cache is not None),
+                       policy=policy, allocator=alloc,
+                       reconv_override=reconv_override,
                        max_steps=BATCH_MAX_STEPS)
+    if cache is not None:
+        events = run.seal(ctx)
+        cache.put(key, (events, result), len(events))
     return result.simt_efficiency
 
 
@@ -364,7 +371,7 @@ def _run_simt(core, config, service, requests, make_alloc, out,
     bs = batch_size or min(service.recommended_batch, config.batch_size)
     out.batch_size = bs
     batches = form_batches(requests, bs, batching)
-    warps = config.hw_contexts  # 1 for RPU, 16 for GPU
+    warps = config.hw_contexts  # 1 for RPU, 32 for GPU
 
     if not streaming:
         traced = []
@@ -408,8 +415,7 @@ def _run_simt(core, config, service, requests, make_alloc, out,
         sizes = []
         for j, batch in enumerate(group):
             effs.append(_play_batch(service, batch, policy, make_alloc,
-                                    reconv_override, cache,
-                                    TimingSink(run, j)))
+                                    reconv_override, cache, run, j))
             sizes.append(len(batch))
         res = run.finish()
         for n_req, stream in zip(sizes, res.streams):

@@ -146,7 +146,7 @@ CPU_SIMD_CONFIG = CoreConfig(
 
 
 #: Ampere-like GPU: in-order SIMT, lower clock, deep cache latencies,
-#: 16 resident warps per SM hide latency at the cost of service latency.
+#: 32 resident warps per SM hide latency at the cost of service latency.
 GPU_CONFIG = CoreConfig(
     name="gpu",
     freq_ghz=1.4,

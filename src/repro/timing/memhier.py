@@ -25,11 +25,16 @@ from ..isa.instructions import Instruction, OpClass, Segment
 from ..memsys.cache import SetAssociativeCache
 from ..memsys.dram import DramModel
 from ..memsys.interconnect import CrossbarInterconnect, MeshInterconnect
-from ..memsys.mcu import MemoryCoalescingUnit, scalar_accesses
+from ..memsys.mcu import (CoalescingResult, MemoryCoalescingUnit,
+                          scalar_accesses)
 from ..memsys.stackmap import StackInterleaver
 from ..memsys.tlb import PAGE_SIZE, BankedTlb, Tlb
 from ..sanitize import check, sanitizer_enabled
 from .config import CoreConfig
+
+_ATOMIC = OpClass.ATOMIC
+_STORE = OpClass.STORE
+_STACK = Segment.STACK
 
 
 class Counters(dict):
@@ -87,6 +92,11 @@ class MemoryHierarchy:
         #: the outstanding miss instead of issuing a duplicate request
         #: (the MSHR-merge filtering the paper credits SMT designs with)
         self._mshr: Dict[int, float] = {}
+        # config constants of the per-access paths
+        self._line_size = c.line_size
+        self._l1_latency = c.l1_latency
+        #: the penalty ``_translate`` charges for one missing page
+        self._tlb_penalty = max(0.0, float(c.tlb_miss_penalty))
         self._san = sanitizer_enabled()
         # sanitizer shadow tallies: per-level hit counts plus L3 atomic
         # RMWs, kept outside Counters so sanitized runs stay
@@ -98,19 +108,24 @@ class MemoryHierarchy:
     def _line_latency(self, line_addr: int, now: float, write: bool) -> float:
         """Latency of one line request entering the L1."""
         cnt = self.counters
-        cfg = self.cfg
         cnt["l1_accesses"] += 1
-        line_key = line_addr // cfg.line_size
         if self.l1.access(line_addr, write):
             if self._san:
                 self._san_hits[0] += 1
             # a "hit" on a line whose fill is still in flight merges
             # into the outstanding miss (MSHR) and waits for the fill
-            pending = self._mshr.get(line_key)
+            pending = self._mshr.get(line_addr // self._line_size)
             if pending is not None and pending > now:
                 cnt["mshr_merges"] += 1
                 return pending - now
-            return cfg.l1_latency
+            return self._l1_latency
+        return self._l1_miss(line_addr, now, write)
+
+    def _l1_miss(self, line_addr: int, now: float, write: bool) -> float:
+        """Latency of a line request that missed the L1 (already counted
+        as an L1 access)."""
+        cnt = self.counters
+        cfg = self.cfg
         cnt["l1_misses"] += 1
         cnt["l2_accesses"] += 1
         if self.l2.access(line_addr, write):
@@ -128,7 +143,7 @@ class MemoryHierarchy:
         cnt["l3_misses"] += 1
         cnt["dram_accesses"] += 1
         done = self.dram.access(arrival + cfg.l3_latency)
-        self._mshr[line_key] = done
+        self._mshr[line_addr // cfg.line_size] = done
         if len(self._mshr) > 256:  # prune completed entries
             self._mshr = {k: v for k, v in self._mshr.items() if v > done}
         return done - now
@@ -196,52 +211,92 @@ class MemoryHierarchy:
 
         Returns the completion cycle of the slowest generated access.
         """
+        cls = inst.cls
+        if cls is _ATOMIC:
+            return self._atomic(addrs, now, batched)
         cfg = self.cfg
         cnt = self.counters
-        write = inst.cls is OpClass.STORE
+        write = cls is _STORE
 
-        if inst.cls is OpClass.ATOMIC:
-            return self._atomic(addrs, now, batched)
-
-        if batched and cfg.mcu_enabled:
-            cnt["mcu_ops"] += 1
-            res = self.mcu.coalesce(inst.segment, addrs)
-        else:
-            res = scalar_accesses(addrs, cfg.line_size)
-        lines = res.line_addrs
-        if self._san:
-            self._check_mcu(res, addrs)
-        if not lines:
-            return now
-
-        if inst.segment is Segment.STACK:
-            cnt["stack_line_accesses"] += len(lines)
-        else:
-            cnt["data_line_accesses"] += len(lines)
-
-        # Stack interleaving needs a single translation (thread-0 base
-        # override); everything else translates per page touched.
-        if res.pattern == "stack":
+        if len(addrs) == 1 and not (batched and cfg.mcu_enabled):
+            # direct single-line path (every CPU/SMT access): what the
+            # general path below computes for one scalar line request -
+            # one translation, no bank conflict, one L1 lookup
+            line = addrs[0][1] // self._line_size * self._line_size
+            if self._san:
+                self._check_mcu(CoalescingResult([line], "scalar"), addrs)
+            if inst.segment is _STACK:
+                cnt["stack_line_accesses"] += 1
+            else:
+                cnt["data_line_accesses"] += 1
             cnt["tlb_accesses"] += 1
-            tlb_penalty = 0.0
-            if not self.tlb.access(lines[0]):
+            if self.tlb.access(line // PAGE_SIZE * PAGE_SIZE):
+                start = now + 0.0
+            else:
                 cnt["tlb_misses"] += 1
-                tlb_penalty = float(cfg.tlb_miss_penalty)
-        else:
-            tlb_penalty = self._translate(lines, now)
-
-        serial = self.l1.bank_conflicts(lines) if cfg.l1_banks > 1 else len(lines)
-        if serial > 1:
-            cnt["l1_bank_conflict_cycles"] += serial - 1
-            start = now + tlb_penalty + (serial - 1)
-        else:
+                start = now + self._tlb_penalty
             cnt["l1_bank_conflict_cycles"] += 0
-            start = now + tlb_penalty
-        worst = 0.0
-        for line in lines:
+            worst = 0.0
             lat = self._line_latency(line, start, write)
             if lat > worst:
                 worst = lat
+        else:
+            if batched and cfg.mcu_enabled:
+                cnt["mcu_ops"] += 1
+                res = self.mcu.coalesce(inst.segment, addrs)
+            else:
+                res = scalar_accesses(addrs, cfg.line_size)
+            lines = res.line_addrs
+            if self._san:
+                self._check_mcu(res, addrs)
+            if not lines:
+                return now
+
+            if inst.segment is _STACK:
+                cnt["stack_line_accesses"] += len(lines)
+            else:
+                cnt["data_line_accesses"] += len(lines)
+
+            # Stack interleaving needs a single translation (thread-0
+            # base override); everything else translates per page
+            # touched.
+            if res.pattern == "stack":
+                cnt["tlb_accesses"] += 1
+                tlb_penalty = 0.0
+                if not self.tlb.access(lines[0]):
+                    cnt["tlb_misses"] += 1
+                    tlb_penalty = float(cfg.tlb_miss_penalty)
+            else:
+                tlb_penalty = self._translate(lines, now)
+
+            serial = (self.l1.bank_conflicts(lines) if cfg.l1_banks > 1
+                      else len(lines))
+            if serial > 1:
+                cnt["l1_bank_conflict_cycles"] += serial - 1
+                start = now + tlb_penalty + (serial - 1)
+            else:
+                cnt["l1_bank_conflict_cycles"] += 0
+                start = now + tlb_penalty
+            # the L1-hit case of _line_latency, inlined per line
+            l1_access = self.l1.access
+            line_size = self._line_size
+            l1_latency = self._l1_latency
+            worst = 0.0
+            for line in lines:
+                cnt["l1_accesses"] += 1
+                if l1_access(line, write):
+                    if self._san:
+                        self._san_hits[0] += 1
+                    pending = self._mshr.get(line // line_size)
+                    if pending is not None and pending > start:
+                        cnt["mshr_merges"] += 1
+                        lat = pending - start
+                    else:
+                        lat = l1_latency
+                else:
+                    lat = self._l1_miss(line, start, write)
+                if lat > worst:
+                    worst = lat
         if self._san:
             self._check_accounting(cnt)
         if write:

@@ -1,12 +1,14 @@
 """Trace collection: turn executor runs into event streams for timing.
 
-Two consumption styles share the same executors:
+Two sinks share the same executors and the same event tuple
+``(pc, inst, active, tuple(addrs), tuple(outcomes) or None)``:
 
 * :class:`ListSink` materializes a run's events (tests, fuzzing, the
-  trace cache);
-* :class:`TimingSink` streams events straight into an in-progress
-  :class:`~repro.timing.core.CoreRun`, so ``run_chip`` can time a run
-  without ever holding its trace in memory.
+  materialized reference path);
+* :class:`TimingSink` times a run's events on one context of an
+  in-progress :class:`~repro.timing.core.CoreRun`, optionally recording
+  them for the trace cache.  Each event tuple is built at most once:
+  the recording and a multi-context run's buffer are the same list.
 """
 
 from __future__ import annotations
@@ -37,37 +39,25 @@ class ListSink(StepSink):
         )
 
 
-class TimingSink(StepSink):
-    """Feeds executor steps straight into one :class:`CoreRun` context.
+class TimingSink(ListSink):
+    """Times executor steps on context ``ctx`` of one :class:`CoreRun`.
 
-    ``on_done`` closes the context, so attaching one sink per executor
-    run maps executor completion onto stream exhaustion in the timing
-    model.  The borrowed ``addrs``/``outcomes`` sequences are safe to
-    pass through: ``CoreRun.feed`` either consumes them synchronously
-    (single-context runs) or copies them into its buffer.
+    On a single-context run the sink's ``on_step`` *is* the run's engine
+    function, so every step is timed on arrival with no intermediate
+    call: ``run.step`` borrows the executor's reused ``addrs`` list,
+    ``run.record`` (``record=True``) first appends the event tuple to
+    ``run.events``.  On a multi-context run the sink is a
+    :class:`ListSink` whose ``events`` list is the context's buffer,
+    timed when the run finishes; that list doubles as the recording, so
+    ``record`` changes nothing.  Either way ``run.seal(ctx)`` returns
+    the recording once the executor is done.
     """
 
-    def __init__(self, run: CoreRun, ctx: int = 0):
-        self.run = run
-        self.ctx = ctx
-        # single-context runs process synchronously, so the sink can
-        # call the processing closure directly and skip the feed() hop
-        self._feed = (run._process if run._single and ctx == 0
-                      else run.feed)
-
-    def on_step(self, pc, inst, active, addrs, outcomes) -> None:
-        self._feed(self.ctx, pc, inst, active, addrs, outcomes)
-
-    def on_done(self) -> None:
-        self.run.close(self.ctx)
-
-
-def replay_events(events: Sequence[Event], sink: StepSink) -> None:
-    """Drive a sink with a previously materialized event stream."""
-    on_step = sink.on_step
-    for ev in events:
-        on_step(ev[0], ev[1], ev[2], ev[3], ev[4])
-    sink.on_done()
+    def __init__(self, run: CoreRun, ctx: int = 0, record: bool = False):
+        if run.single:
+            self.on_step = run.record if record else run.step
+        else:
+            self.events = run.buffer(ctx)
 
 
 def make_batch_executor(

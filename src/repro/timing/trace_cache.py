@@ -3,11 +3,13 @@
 Executor traces are a pure function of (service, request population,
 schedule policy, allocator behaviour, memory salt, step budget) - the
 *timing* configuration plays no part in producing them.  Different chip
-designs therefore frequently re-execute identical traces: CPU and
-CPU-SMT8 both solo-execute the same requests through the same worker
-pool, and RPU and GPU lockstep-execute the same batches under the same
-policy and allocator.  This module memoizes those traces per process so
-each distinct execution happens once.
+designs therefore frequently re-execute identical traces: RPU and GPU
+lockstep-execute the same batches under the same policy and allocator,
+and solo configs with the same worker pool (CPU and the in-order CPU)
+solo-execute the same requests.  CPU and CPU-SMT8 do *not* share solo
+traces: the pool size (1 vs 64 workers) decides which stacks and arenas
+each request reuses, so it is part of the key.  This module memoizes
+traces per process so each distinct execution happens once.
 
 Keys capture everything the trace depends on:
 

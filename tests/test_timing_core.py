@@ -149,3 +149,79 @@ def test_time_accumulates_across_runs():
     r1 = core.run([[alu(1)] * 10])
     r2 = core.run([[alu(1)] * 10])
     assert r2.start >= r1.finish - 1e-9
+
+
+def _observables(core, res):
+    return (res.start, res.finish,
+            [(s.start, s.finish, s.events) for s in res.streams],
+            list(core.all_counters().items()))
+
+
+def _mixed_stream(n, base):
+    out = []
+    for i in range(n):
+        out.append(alu(i % 5 + 1, (i + 1) % 5 + 1))
+        out.append(load(6, base + 64 * i))
+        out.append(branch(bool(i % 3)))
+    return out
+
+
+def test_multi_context_drains_round_robin():
+    """One event per live context per sweep: on a 1-wide frontend the
+    short context's only op issues second, between the long one's."""
+    core = CoreModel(cfg(issue_width=1))
+    long_, short = [alu(1), alu(2), alu(3)], [alu(4)]
+    res = core.run([long_, short])
+    assert [s.finish for s in res.streams] == [4.0, 2.0]
+    assert [s.events for s in res.streams] == [3, 1]
+
+
+def test_feed_order_across_contexts_is_irrelevant():
+    """Multi-context runs only buffer on feed; finish() drains in sweep
+    order, so feeding context 1 before context 0 changes nothing."""
+    streams = [_mixed_stream(12, 0x4000_0000), _mixed_stream(5, 0x4100_0000),
+               [], _mixed_stream(9, 0x4200_0000)]
+    ref_core = CoreModel(cfg())
+    ref = _observables(ref_core, ref_core.run(streams))
+    core = CoreModel(cfg())
+    run = core.begin(len(streams))
+    for ctx in reversed(range(len(streams))):
+        for ev in streams[ctx]:
+            run.feed(ctx, *ev)
+    assert _observables(core, run.finish()) == ref
+
+
+@pytest.mark.parametrize("config", [cfg(), replace(GPU_CONFIG, **QUIET)],
+                         ids=["ooo", "in_order"])
+def test_step_record_and_replay_agree(config):
+    """The three single-context entry points run one engine: stepping
+    borrowed events, recording them, and replaying a recorded stream
+    give identical timing, and the recording is the event stream."""
+    stream = _mixed_stream(20, 0x4000_0000)
+    results = []
+    for mode in ("step", "record", "replay"):
+        core = CoreModel(config)
+        run = core.begin(1)
+        if mode == "replay":
+            run.replay(0, stream)
+        else:
+            fn = run.step if mode == "step" else run.record
+            for pc, inst, active, addrs, outcomes in stream:
+                fn(pc, inst, active, list(addrs),
+                   list(outcomes) if outcomes else None)
+        results.append(_observables(core, run.finish()))
+        if mode == "record":
+            assert run.events == stream
+    assert results[0] == results[1] == results[2]
+
+
+def test_float_stacks_continue_across_runs():
+    """Cycle-stack floats accumulate in run-local sums seeded from the
+    counters; keys no event touched are never created."""
+    core = CoreModel(cfg())
+    core.run([[alu(1, 1)] * 7])
+    assert "stack_mem_service" not in core.counters
+    after_one = core.counters["stack_exec_service"]
+    core.run([[load(2, 0x4000_0000)]])
+    assert core.counters["stack_exec_service"] == after_one
+    assert core.counters["stack_mem_service"] > 0

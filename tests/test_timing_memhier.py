@@ -8,7 +8,8 @@ from repro.engine.memory import HEAP_BASE, stack_base
 from repro.isa import Instruction, OpClass, Segment
 from repro.memsys.mcu import CoalescingResult
 from repro.sanitize import SanitizerError
-from repro.timing import CPU_CONFIG, RPU_CONFIG, MemoryHierarchy
+from repro.timing import (CPU_CONFIG, RPU_CONFIG, SMT8_CONFIG,
+                          MemoryHierarchy)
 
 
 def ld(segment=Segment.HEAP):
@@ -157,6 +158,30 @@ class TestSanitizers:
         with pytest.raises(SanitizerError):
             mh.access(ld(), [(0, HEAP_BASE + 4096, 8)], 10.0,
                       batched=False)
+
+    @pytest.mark.parametrize("op", [ld, st], ids=["load", "store"])
+    @pytest.mark.parametrize("config", [CPU_CONFIG, SMT8_CONFIG],
+                             ids=["cpu", "smt8"])
+    def test_single_lane_path_checks_accounting(self, san, config, op):
+        # single-lane scalar accesses take the direct one-line path; the
+        # accounting check must stay armed there (single L1 bank on the
+        # CPU, banked L1 on SMT-8)
+        mh = MemoryHierarchy(config)
+        mh.access(op(), [(0, HEAP_BASE, 8)], 0.0, batched=False)
+        mh.counters["l1_misses"] += 1
+        with pytest.raises(SanitizerError):
+            mh.access(op(), [(0, HEAP_BASE, 8)], 10.0, batched=False)
+
+    def test_single_lane_path_checks_coalescing(self, san, monkeypatch):
+        mh = MemoryHierarchy(CPU_CONFIG)
+        seen = []
+        monkeypatch.setattr(mh, "_check_mcu",
+                            lambda res, addrs: seen.append(
+                                (res.line_addrs, res.pattern, addrs)))
+        a = [(0, HEAP_BASE + 40, 8)]
+        mh.access(ld(), a, 0.0, batched=False)
+        line = (HEAP_BASE + 40) // CPU_CONFIG.line_size * CPU_CONFIG.line_size
+        assert seen == [([line], "scalar", a)]
 
     def test_atomic_accounting_detects_corruption(self, san):
         mh = MemoryHierarchy(RPU_CONFIG)
