@@ -53,7 +53,9 @@ def test_fleet_shard_rate(benchmark, monkeypatch):
     One shard of the canonical batch-aware cell at 60k QPS over 30ms -
     the simulator-speed gate for the fleet tier, pinned by
     ``scripts/compare_bench.py --min-speedup-vs-base`` in CI against
-    the committed pre-event-wheel baseline.
+    the committed ``pre_event_wheel`` block (the ``heapq`` scheduler
+    with per-job routing closures, before the routing and balancer
+    closures were compiled).
     """
     monkeypatch.setenv("REPRO_CACHE", "0")
     task = FleetShardTask("fleet_rpu",

@@ -13,11 +13,9 @@ serial one.
 
 from __future__ import annotations
 
-import os
 import random
-import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..engine.events import LockstepResult, StepSink
 from ..engine.lockstep import (
@@ -29,7 +27,6 @@ from ..engine.lockstep import (
 from ..engine.memory import MemoryImage
 from ..engine.thread import ThreadState
 from ..memsys.alloc import BaseAllocator, SimrAwareAllocator
-from ..sanitize import check, sanitizer_enabled
 from ..workloads.base import Microservice, Request
 
 
@@ -49,96 +46,6 @@ def prepare_threads(
     return threads
 
 
-# ----------------------------------------------------------------------
-# batch-setup template cache
-#
-# Workload setup is pure in (service, request contents, salt): the same
-# batch rebuilds the same thread registers and memory image every call.
-# run_batch/run_solo construct their memory image and (default)
-# allocator locally and never return them, so when the caller did not
-# supply an allocator the prepared state can be template-copied from an
-# earlier identical call - observationally identical, ~4x cheaper than
-# re-running setup.  Keyed per service *instance* (WeakKeyDictionary, so
-# a dropped service frees its templates) by (salt, request contents).
-# ``REPRO_SETUP_CACHE=0`` disables it (witness); under REPRO_SANITIZE=1
-# every template copy is cross-checked against a fresh rebuild.
-
-_SETUP_TEMPLATES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_SETUP_PER_SERVICE_MAX = 64
-
-
-def setup_cache_enabled() -> bool:
-    """True unless ``REPRO_SETUP_CACHE=0`` (re-read per call)."""
-    return os.environ.get("REPRO_SETUP_CACHE", "1") != "0"
-
-
-def _request_fp(requests: Sequence[Request]) -> tuple:
-    return tuple(
-        (r.rid, r.service, r.api, r.api_id, r.size, r.key, r.arrival_us,
-         tuple(sorted(r.payload.items())))
-        for r in requests)
-
-
-def _threads_from_template(tpl, requests) -> List[ThreadState]:
-    threads = []
-    for row, req in zip(tpl, requests):
-        t = ThreadState.__new__(ThreadState)
-        (t.tid, regs, t.pc, t.halted, t.retired, t.stack_size,
-         t.stack_top) = row
-        t.regs = list(regs)
-        t.call_stack = []
-        t.syscall_trace = []
-        t.request = req
-        threads.append(t)
-    return threads
-
-
-def _prepare_batch(
-    service: Microservice,
-    requests: Sequence[Request],
-    salt: int,
-) -> Tuple[List[ThreadState], MemoryImage]:
-    """Prepared (threads, mem) for a batch, template-copied when this
-    process already built an identical setup."""
-    mem = MemoryImage(salt=salt)
-    if not setup_cache_enabled():
-        return prepare_threads(service, requests, mem,
-                               SimrAwareAllocator()), mem
-    per_service = _SETUP_TEMPLATES.get(service)
-    if per_service is None:
-        per_service = _SETUP_TEMPLATES[service] = {}
-    key = (salt, _request_fp(requests))
-    tpl = per_service.get(key)
-    if tpl is not None:
-        store, rows = tpl
-        mem._store = dict(store)
-        threads = _threads_from_template(rows, requests)
-        if sanitizer_enabled():
-            fresh_mem = MemoryImage(salt=salt)
-            fresh = prepare_threads(service, requests, fresh_mem,
-                                    SimrAwareAllocator())
-            check(fresh_mem._store == mem._store,
-                  "setup cache: memory image diverged for %s",
-                  getattr(service, "name", type(service).__name__))
-            for t, f in zip(threads, fresh):
-                check(t.regs == f.regs and t.pc == f.pc
-                      and t.halted == f.halted
-                      and t.retired == f.retired
-                      and t.stack_top == f.stack_top
-                      and t.request is f.request,
-                      "setup cache: thread %d state diverged", t.tid)
-        return threads, mem
-    threads = prepare_threads(service, requests, mem,
-                              SimrAwareAllocator())
-    if len(per_service) < _SETUP_PER_SERVICE_MAX:
-        rows = tuple(
-            (t.tid, tuple(t.regs), t.pc, t.halted, t.retired,
-             t.stack_size, t.stack_top)
-            for t in threads)
-        per_service[key] = (dict(mem._store), rows)
-    return threads, mem
-
-
 def run_batch(
     service: Microservice,
     requests: Sequence[Request],
@@ -152,12 +59,9 @@ def run_batch(
 ) -> LockstepResult:
     """Execute one batch of requests in lockstep on one RPU core."""
     if allocator is None:
-        # default-allocator path: the allocator is unobservable, so the
-        # prepared state may come from the setup template cache
-        threads, mem = _prepare_batch(service, requests, salt)
-    else:
-        mem = MemoryImage(salt=salt)
-        threads = prepare_threads(service, requests, mem, allocator)
+        allocator = SimrAwareAllocator()
+    mem = MemoryImage(salt=salt)
+    threads = prepare_threads(service, requests, mem, allocator)
     program = service.program
     if policy == "ipdom":
         ex = IpdomExecutor(program, sink=sink, max_steps=max_steps,
@@ -190,10 +94,9 @@ def run_solo(
     multi-threaded service process on a CPU node.
     """
     if allocator is None:
-        threads, mem = _prepare_batch(service, requests, salt)
-    else:
-        mem = MemoryImage(salt=salt)
-        threads = prepare_threads(service, requests, mem, allocator)
+        allocator = SimrAwareAllocator()
+    mem = MemoryImage(salt=salt)
+    threads = prepare_threads(service, requests, mem, allocator)
     ex = SoloExecutor(service.program, sink=sink, max_steps=max_steps,
                       fastpath=fastpath)
     return [ex.run(t, mem) for t in threads]

@@ -21,8 +21,7 @@ invariants that must survive any amount of injected chaos:
 
 Run a campaign with ``python -m repro.fuzz.chaos --seeds N``; the
 stdout is deterministic (one line per case), which is what the CI
-chaos-smoke job ``cmp``'s across serial / ``--jobs`` / heap-scheduler
-legs.
+chaos-smoke job ``cmp``'s across serial and ``--jobs`` legs.
 """
 
 from __future__ import annotations

@@ -41,7 +41,7 @@ suite can both run with the sanitizer on.  Violations raise
 
 from __future__ import annotations
 
-import os
+from .config import env_flag
 
 
 class SanitizerError(AssertionError):
@@ -51,7 +51,7 @@ class SanitizerError(AssertionError):
 def sanitizer_enabled() -> bool:
     """True when ``REPRO_SANITIZE=1`` (re-read per call, so tests and
     the fuzz CLI can toggle it without re-importing modules)."""
-    return os.environ.get("REPRO_SANITIZE", "") == "1"
+    return env_flag("REPRO_SANITIZE", False)
 
 
 def check(cond: bool, msg: str, *args) -> None:

@@ -51,6 +51,7 @@ import zlib
 from typing import Dict, Optional, Sequence, Tuple
 
 from . import sanitize
+from .config import env_flag
 
 #: file format magic; bump the trailing digits to invalidate all
 #: entries written by earlier layouts (version mismatch == miss)
@@ -71,12 +72,12 @@ class CacheVerifyError(RuntimeError):
 def enabled() -> bool:
     """Persistent caching is on unless ``REPRO_CACHE=0`` (re-read per
     call, so tests and CLIs can toggle it without re-importing)."""
-    return os.environ.get("REPRO_CACHE", "1") != "0"
+    return env_flag("REPRO_CACHE", True)
 
 
 def verify_enabled() -> bool:
     """True when ``REPRO_CACHE_VERIFY=1``: recompute on hit and compare."""
-    return os.environ.get("REPRO_CACHE_VERIFY", "") == "1"
+    return env_flag("REPRO_CACHE_VERIFY", False)
 
 
 def cache_dir() -> str:

@@ -24,8 +24,6 @@ from .queueing import (
     EndToEndConfig,
     EndToEndResult,
     Job,
-    SimulationLimitError,
-    Simulator,
     Station,
     max_throughput_kqps,
     run_end_to_end,
@@ -39,6 +37,7 @@ from .resilience import (
     run_resilient,
     system_energy_joules,
 )
+from .scheduler import SimulationLimitError, Simulator
 from .seeding import stream_exp, stream_key, stream_rng, stream_u
 from .zones import (
     ZoneConfig,

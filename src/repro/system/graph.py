@@ -24,8 +24,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..sanitize import check, sanitizer_enabled
 from .faults import FaultConfig, FaultInjector
-from .queueing import EndToEndResult, Job, Simulator, Station, _percentile
+from .queueing import EndToEndResult, Job, Station, _percentile
 from .resilience import ResilienceConfig
+from .scheduler import Simulator
 from .seeding import PrefixStream, stream_u
 
 

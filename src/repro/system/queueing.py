@@ -27,13 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from ..sanitize import check, sanitizer_enabled
-from .scheduler import (  # noqa: F401  (re-exported compat names)
-    HeapSimulator,
-    SimulationLimitError,
-    Simulator,
-    WheelSimulator,
-    wheel_enabled,
-)
+from .scheduler import Simulator
 
 
 @dataclass(slots=True)

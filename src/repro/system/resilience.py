@@ -40,13 +40,8 @@ from typing import Callable, Dict, List, Optional
 
 from ..sanitize import check, sanitizer_enabled
 from .faults import FaultConfig, FaultInjector
-from .queueing import (
-    EndToEndConfig,
-    Job,
-    Simulator,
-    Station,
-    _percentile,
-)
+from .queueing import EndToEndConfig, Job, Station, _percentile
+from .scheduler import Simulator
 from .seeding import stream_u
 
 #: request outcomes (exactly one per injected request)

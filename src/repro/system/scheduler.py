@@ -1,58 +1,18 @@
-"""Bucketed calendar-queue (event-wheel) scheduler for the system tier.
+"""The system tier's discrete-event scheduler: one ``heapq`` loop.
 
-The discrete-event simulators used to run on a ``heapq`` of
-``(when, tie, fn, args)`` tuples: every ``schedule`` paid a tie-counter
-draw, a 4-tuple allocation, an ``*args`` pack and an O(log n) sift, and
-every pop paid the mirror-image sift plus an unpack.  uqSim and
-CloudNativeSim both make the same point about microservice-graph
-simulation: the scheduler must be cheap before anything built on it can
-scale.  This module replaces the heap with a classic **event wheel**:
+Events are ``(when, tie, fn, arg)`` tuples on a binary heap and pop in
+``(when, tie)`` order.  The tie counter is drawn per schedule, so
+equal-time events fire in insertion order - including a same-timestamp
+event scheduled from inside a firing callback, which joins the back of
+its slot.  uqSim and CloudNativeSim both make the point that the
+scheduler of a microservice-graph simulation must be cheap; with the
+tens of live events the fleet and chaos tiers hold, C ``heapq`` is.
 
-* events land in FIFO **buckets** keyed by their quantized timestamp
-  (``int(when * 1/width)``; the width is a power of two, so the
-  quantization is exact float arithmetic and an event can never land
-  one bucket off a boundary);
-* the wheel covers ``n_buckets`` consecutive buckets from the cursor;
-  events scheduled past that horizon go to a small **overflow heap**
-  and are migrated bucket-by-bucket as the cursor admits their window;
-* a bucket is *stable-sorted by timestamp* when the cursor reaches it,
-  so equal-time events fire in insertion order - the exact tie-break
-  contract of the old heap (its tie counter) without paying for a
-  counter per event.
-
-Ordering is bit-identical to the heap, which is kept as a differential
-witness behind ``REPRO_WHEEL=0``.  The argument sketch:
-
-* across buckets, time order is bucket order (exact quantization);
-* within a bucket, Python's stable sort keyed on the timestamp alone
-  preserves append order for ties;
-* an overflow event is migrated into its bucket at the moment the
-  bucket becomes admissible, *before* any direct insert can target
-  that bucket (direct inserts to it were themselves overflow until
-  then) - so migrated-then-appended order is insertion order (the
-  overflow heap carries its own tie counter for ties *within* it);
-* events scheduled into the bucket currently being drained are
-  placed by ``bisect_right`` on the timestamp: after every queued
-  equal-time event (FIFO) and never before the drain index.
-
-:class:`WheelSimulator` is built in the closure style of the streaming
-timing engine (PR 3): ``schedule1``/``run`` are closures sharing the
-wheel state through cells, so the per-event hot path does no
-self-attribute loads at all.  :class:`EventWheel` is the plain-class
-reference implementation of the same structure - it backs the RPU
-driver's ready queue (:mod:`repro.batching.driver`) in ``fifo=False``
-mode, where entries are ordered by their leading ``(time, key)`` tuple
-prefix instead of insertion order (the ordering the driver's old
-``(time, bid, task, idx)`` heap provided), and it is what the rotation
-invariant tests poke at directly.
-
-``Simulator`` is the factory the simulators instantiate: it returns a
-:class:`WheelSimulator` unless ``REPRO_WHEEL=0`` selects the
-:class:`HeapSimulator` witness.  Both expose the same interface:
 ``schedule(when, fn, *args)`` fires ``fn(when, *args)``, and
 ``schedule1(when, fn, arg)`` is the allocation-free fast path for the
 one-argument callbacks that dominate the hot loops (station batch
-completions and flush timers).
+completions and flush timers).  Zero- and multi-argument events are
+boxed in an :class:`_Args` so the common event never packs a tuple.
 
 ``max_events`` arms a bounded-progress guard: instead of spinning
 forever on a pathological schedule (a retry storm, or a future
@@ -64,55 +24,21 @@ owner names are resolved only on the overflow diagnostic path.
 
 from __future__ import annotations
 
-import os
-from bisect import bisect_right
 from collections import Counter
 from heapq import heappop, heappush
-from operator import itemgetter
 from typing import Callable, List, Optional, Tuple
 
 from ..sanitize import check, sanitizer_enabled
 
 __all__ = [
-    "EventWheel",
-    "HeapSimulator",
     "SimulationLimitError",
     "Simulator",
-    "WheelSimulator",
-    "wheel_enabled",
 ]
-
-
-def wheel_enabled() -> bool:
-    """True unless ``REPRO_WHEEL=0`` (re-read per call, so tests and
-    CLIs can flip the scheduler without re-importing modules)."""
-    return os.environ.get("REPRO_WHEEL", "1") != "0"
 
 
 class SimulationLimitError(RuntimeError):
     """The event-count ceiling was hit: the simulation is (probably)
     stuck in a self-rescheduling loop, e.g. an unbounded retry storm."""
-
-
-_key0 = itemgetter(0)
-_key01 = itemgetter(0, 1)
-
-
-class _Greatest:
-    """Compares greater than anything (used as a bisect probe pad so a
-    ``(when, _GREATEST)`` probe tuple sorts after every equal-``when``
-    entry without ordering the callback objects themselves)."""
-
-    __slots__ = ()
-
-    def __lt__(self, other):
-        return False
-
-    def __gt__(self, other):
-        return True
-
-
-_GREATEST = _Greatest()
 
 
 class _Args:
@@ -126,428 +52,14 @@ class _Args:
         self.args = args
 
 
-def _check_geometry(width_us: float, n_buckets: int) -> float:
-    if n_buckets & (n_buckets - 1):
-        raise ValueError(f"n_buckets must be a power of two, "
-                         f"got {n_buckets}")
-    inv = 1.0 / width_us
-    if width_us * inv != 1.0:
-        raise ValueError(f"width_us must be a power of two, "
-                         f"got {width_us}")
-    return inv
-
-
-class EventWheel:
-    """Plain-class calendar queue (the reference implementation).
-
-    Entries are tuples whose first element is the absolute timestamp.
-    ``fifo=True`` breaks timestamp ties by insertion order;
-    ``fifo=False`` (the RPU driver's ready queue) orders by the
-    ``(entry[0], entry[1])`` prefix, which callers must keep unique.
-    """
-
-    __slots__ = ("width", "n", "buckets", "overflow", "cursor", "count",
-                 "live", "live_i", "fifo", "_inv", "_mask", "_otie",
-                 "_san")
-
-    def __init__(self, width_us: float = 64.0, n_buckets: int = 256,
-                 fifo: bool = True):
-        self._inv = _check_geometry(width_us, n_buckets)
-        self.width = width_us
-        self.n = n_buckets
-        self._mask = n_buckets - 1
-        self.buckets: List[list] = [[] for _ in range(n_buckets)]
-        #: far-future events beyond the wheel horizon; fifo mode wraps
-        #: them as ``(when, tie, entry)`` so migration replays
-        #: insertion order, keyed mode stores the entry tuples raw
-        self.overflow: list = []
-        #: absolute index of the bucket being (or next to be) drained
-        self.cursor = 0
-        #: entries currently in buckets (the overflow heap is extra)
-        self.count = 0
-        #: the bucket currently being drained (sorted), else None
-        self.live: Optional[list] = None
-        #: drain position within ``live``: entries below it have fired
-        self.live_i = 0
-        self.fifo = fifo
-        self._otie = 0
-        self._san = sanitizer_enabled()
-
-    # -- insertion -----------------------------------------------------
-    def push(self, entry: tuple) -> None:
-        """Insert ``entry`` (``entry[0]`` is the absolute time)."""
-        when = entry[0]
-        b = int(when * self._inv)
-        c = self.cursor
-        if b > c:
-            if b - c < self.n:
-                self.buckets[b & self._mask].append(entry)
-                self.count += 1
-            elif self.fifo:
-                self._otie += 1
-                heappush(self.overflow, (when, self._otie, entry))
-            else:
-                heappush(self.overflow, entry)
-            return
-        # current (possibly draining) bucket - or the past, which the
-        # sanitizer rejects and the unsanitized wheel clamps to "fire
-        # next", mirroring the heap's behaviour for invalid schedules
-        if self._san:
-            check(b == c, "event wheel: push into a past bucket "
-                  "(t=%f, bucket %d < cursor %d)", when, b, c)
-        live = self.live
-        if live is None:
-            self.buckets[c & self._mask].append(entry)
-        else:
-            if self.fifo:
-                pos = bisect_right(live, when, key=_key0)
-            else:
-                pos = bisect_right(live, _key01(entry), key=_key01)
-            li = self.live_i
-            if pos < li:
-                pos = li
-            live.insert(pos, entry)
-        self.count += 1
-
-    # -- rotation ------------------------------------------------------
-    def _admit(self) -> None:
-        """Migrate overflow events whose buckets are now admissible."""
-        ov = self.overflow
-        if not ov:
-            return
-        horizon = (self.cursor + self.n) * self.width
-        buckets = self.buckets
-        mask = self._mask
-        inv = self._inv
-        if self._san:
-            check(self.live is None,
-                  "event wheel: admission during a live bucket drain")
-        if self.fifo:
-            while ov and ov[0][0] < horizon:
-                when, _tie, entry = heappop(ov)
-                buckets[int(when * inv) & mask].append(entry)
-                self.count += 1
-        else:
-            while ov and ov[0][0] < horizon:
-                entry = heappop(ov)
-                buckets[int(entry[0] * inv) & mask].append(entry)
-                self.count += 1
-
-    def _open_bucket(self) -> Optional[list]:
-        """Advance to the next non-empty bucket, sort it and return it
-        as the live bucket; None when the wheel and overflow are empty.
-        """
-        while True:
-            if self.count:
-                buck = self.buckets[self.cursor & self._mask]
-                if buck:
-                    buck.sort(key=_key0 if self.fifo else _key01)
-                    if self._san:
-                        inv = self._inv
-                        c = self.cursor
-                        for e in buck:
-                            check(int(e[0] * inv) == c,
-                                  "event wheel: entry at t=%f drained "
-                                  "from bucket %d (its own is %d)",
-                                  e[0], c, int(e[0] * inv))
-                    self.live = buck
-                    self.live_i = 0
-                    return buck
-                self.cursor += 1
-                self._admit()
-                continue
-            if self.overflow:
-                # wheel empty: jump the cursor straight to the next
-                # overflow event's bucket instead of rotating there
-                b = int(self.overflow[0][0] * self._inv)
-                if b > self.cursor:
-                    self.cursor = b
-                self._admit()
-                if self._san:
-                    check(self.count > 0,
-                          "event wheel: admission after a cursor jump "
-                          "landed no events")
-                continue
-            return None
-
-    def _close_bucket(self) -> None:
-        """Retire the fully-drained live bucket and advance the cursor."""
-        buck = self.live
-        self.count -= len(buck)
-        buck.clear()
-        self.live = None
-        self.live_i = 0
-        self.cursor += 1
-        self._admit()
-
-    # -- draining ------------------------------------------------------
-    def pop(self) -> Optional[tuple]:
-        """Remove and return the next entry in firing order, or None."""
-        buck = self.live
-        while True:
-            if buck is not None:
-                i = self.live_i
-                if i < len(buck):
-                    self.live_i = i + 1
-                    return buck[i]
-                self._close_bucket()
-            buck = self._open_bucket()
-            if buck is None:
-                return None
-
-    def __len__(self) -> int:
-        pending = self.count + len(self.overflow)
-        if self.live is not None:
-            pending -= self.live_i
-        return pending
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
-
 class Simulator:
-    """Deterministic event-loop factory.
+    """Deterministic ``heapq`` event loop.
 
-    ``Simulator(...)`` returns a :class:`WheelSimulator` (the event
-    wheel) unless ``REPRO_WHEEL=0`` selects the :class:`HeapSimulator`
-    differential witness.  Both fire ``fn(when, *args)`` per event,
-    break equal-time ties by insertion order, and honor ``max_events``.
+    Fires ``fn(when, *args)`` per event, breaks equal-time ties by
+    insertion order and honors ``max_events``.  An invalid past-time
+    schedule (the sanitizer rejects it) pops next, before anything
+    later.
     """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        if cls is Simulator:
-            cls = WheelSimulator if wheel_enabled() else HeapSimulator
-        return object.__new__(cls)
-
-    # -- shared diagnostics --------------------------------------------
-    @staticmethod
-    def _owner_name(fn: Callable) -> str:
-        fn = getattr(fn, "__wrapped__", fn)
-        owner = getattr(fn, "__self__", None)
-        name = getattr(owner, "name", None)
-        if isinstance(name, str):
-            return f"station {name!r}"
-        return getattr(fn, "__qualname__", repr(fn))
-
-    def _raise_limit(self, fired: Counter, limit: int, now: float,
-                     n_queued: int) -> None:
-        by_owner: Counter = Counter()
-        for fn, hits in fired.items():
-            by_owner[self._owner_name(fn)] += hits
-        hot, hits = by_owner.most_common(1)[0]
-        raise SimulationLimitError(
-            f"simulation exceeded {limit} events at "
-            f"t={now:.1f}us with {n_queued} still queued; "
-            f"hottest callback: {hot} ({hits} of {limit} events). "
-            f"Likely an unbounded retry/reschedule loop.")
-
-
-class WheelSimulator(Simulator):
-    """Event-wheel simulator: the default scheduler of the system tier.
-
-    The wheel state (buckets, cursor, live bucket, counts) lives in
-    closure cells shared by ``schedule1`` and ``run``; the instance
-    attributes are just the bound entry points.  An event is
-    ``(when, fn, arg)`` and fires as ``fn(when, arg)`` - or
-    ``fn(when, *arg.args)`` when ``arg`` is a boxed :class:`_Args`.
-    """
-
-    __slots__ = ("now", "max_events", "schedule", "schedule1", "run",
-                 "pending")
-
-    def __init__(self, max_events: Optional[int] = None,
-                 width_us: float = 64.0, n_buckets: int = 512):
-        inv = _check_geometry(width_us, n_buckets)
-        width = width_us
-        n = n_buckets
-        mask = n - 1
-        buckets: List[list] = [[] for _ in range(n)]
-        overflow: list = []
-        cursor = 0
-        count = 0
-        live: Optional[list] = None
-        now = 0.0
-        otie = 0
-        san = sanitizer_enabled()
-        outer = self
-        self.now = 0.0
-        self.max_events = max_events
-
-        def schedule1(when: float, fn: Callable, arg) -> None:
-            nonlocal count, otie
-            if san:
-                check(when >= now,
-                      "simulator: event scheduled into the past "
-                      "(%f before now=%f)", when, now)
-            b = int(when * inv)
-            d = b - cursor
-            if d > 0:
-                if d < n:
-                    buckets[b & mask].append((when, fn, arg))
-                else:
-                    otie += 1
-                    heappush(overflow, (when, otie, (when, fn, arg)))
-                    return
-            elif live is not None:
-                # mid-drain insert into the live bucket: bisect on a
-                # (time, GREATEST) probe lands after every queued
-                # equal-time event (FIFO) and - because all
-                # already-fired entries carry times <= now - never
-                # before the drain point.  The probe keeps the C tuple
-                # comparison on the leading floats, no key= callback.
-                # A past-time schedule (invalid; the sanitizer rejects
-                # it) is clamped to fire at ``now``.
-                key = when if when >= now else now
-                live.insert(bisect_right(live, (key, _GREATEST)),
-                            (when, fn, arg))
-            else:
-                buckets[cursor & mask].append((when, fn, arg))
-            count += 1
-
-        def schedule(when: float, fn: Callable, *args) -> None:
-            if len(args) == 1:
-                schedule1(when, fn, args[0])
-            else:
-                schedule1(when, fn, _Args(args))
-
-        def admit() -> None:
-            nonlocal count
-            horizon = (cursor + n) * width
-            while overflow and overflow[0][0] < horizon:
-                when, _tie, entry = heappop(overflow)
-                buckets[int(when * inv) & mask].append(entry)
-                count += 1
-
-        def open_bucket() -> Optional[list]:
-            nonlocal cursor
-            while True:
-                if count:
-                    buck = buckets[cursor & mask]
-                    if buck:
-                        return buck
-                    cursor += 1
-                    if overflow:
-                        admit()
-                elif overflow:
-                    # jump-ahead: land the cursor straight on the next
-                    # overflow event's bucket instead of rotating
-                    # through the empty span
-                    b = int(overflow[0][0] * inv)
-                    if b > cursor:
-                        cursor = b
-                    admit()
-                    if san:
-                        check(count > 0,
-                              "event wheel: admission after a cursor "
-                              "jump landed no events")
-                else:
-                    return None
-
-        def run(max_events: Optional[int] = None) -> None:
-            nonlocal cursor, count, live, now
-            limit = (max_events if max_events is not None
-                     else outer.max_events)
-            if limit is not None or san:
-                run_guarded(limit)
-                return
-            while True:
-                buck = open_bucket()
-                if buck is None:
-                    outer.now = now
-                    return
-                if len(buck) > 1:
-                    buck.sort(key=_key0)
-                live = buck
-                # the bucket may grow mid-drain: same-window schedules
-                # are insorted at or past the iterator position, and
-                # the for-loop picks them up in timestamp order
-                for e in buck:
-                    when = e[0]
-                    now = when
-                    arg = e[2]
-                    if arg.__class__ is _Args:
-                        outer.now = when
-                        e[1](when, *arg.args)
-                    else:
-                        e[1](when, arg)
-                count -= len(buck)
-                buck.clear()
-                live = None
-                cursor += 1
-                if overflow:
-                    admit()
-
-        def run_guarded(limit: Optional[int]) -> None:
-            """The bounded/sanitized event loop: identical firing order
-            to the fast loop, plus O(1)-per-event accounting for the
-            ``max_events`` diagnostic and the sanitizer invariants."""
-            nonlocal cursor, count, live, now
-            fired: Counter = Counter()
-            fired_n = 0
-            while True:
-                buck = open_bucket()
-                if buck is None:
-                    outer.now = now
-                    return
-                if len(buck) > 1:
-                    buck.sort(key=_key0)
-                if san:
-                    c = cursor
-                    for e in buck:
-                        check(int(e[0] * inv) == c,
-                              "event wheel: entry at t=%f drained from "
-                              "bucket %d (its own is %d)",
-                              e[0], c, int(e[0] * inv))
-                live = buck
-                i = 0
-                while i < len(buck):
-                    e = buck[i]
-                    i += 1
-                    when = e[0]
-                    if san:
-                        check(when >= now,
-                              "simulator: time ran backwards "
-                              "(%f after %f)", when, now)
-                    now = when
-                    outer.now = when
-                    if limit is not None:
-                        fired_n += 1
-                        if fired_n > limit:
-                            outer._raise_limit(
-                                fired, limit, when,
-                                count - i + len(overflow))
-                        fired[e[1]] += 1
-                    arg = e[2]
-                    if arg.__class__ is _Args:
-                        e[1](when, *arg.args)
-                    else:
-                        e[1](when, arg)
-                count -= len(buck)
-                buck.clear()
-                live = None
-                cursor += 1
-                if overflow:
-                    admit()
-
-        def pending() -> int:
-            """Events still queued (approximate while a bucket is
-            mid-drain: already-fired entries of the live bucket are
-            included until the bucket retires)."""
-            return count + len(overflow)
-
-        self.schedule1 = schedule1
-        self.schedule = schedule
-        self.run = run
-        self.pending = pending
-
-
-class HeapSimulator(Simulator):
-    """The pre-wheel ``heapq`` event loop, kept as the differential
-    witness behind ``REPRO_WHEEL=0``: entries ``(when, tie, fn, arg)``
-    pop in ``(when, tie)`` order, so equal-time events fire in
-    insertion order - the contract the wheel reproduces."""
 
     __slots__ = ("now", "max_events", "_events", "_tie", "_san")
 
@@ -571,9 +83,6 @@ class HeapSimulator(Simulator):
             self.schedule1(when, fn, args[0])
         else:
             self.schedule1(when, fn, _Args(args))
-
-    def pending(self) -> int:
-        return len(self._events)
 
     def run(self, max_events: Optional[int] = None) -> None:
         limit = max_events if max_events is not None else self.max_events
@@ -617,3 +126,25 @@ class HeapSimulator(Simulator):
                 fn(when, *arg.args)
             else:
                 fn(when, arg)
+
+    # -- diagnostics -----------------------------------------------------
+    @staticmethod
+    def _owner_name(fn: Callable) -> str:
+        fn = getattr(fn, "__wrapped__", fn)
+        owner = getattr(fn, "__self__", None)
+        name = getattr(owner, "name", None)
+        if isinstance(name, str):
+            return f"station {name!r}"
+        return getattr(fn, "__qualname__", repr(fn))
+
+    def _raise_limit(self, fired: Counter, limit: int, now: float,
+                     n_queued: int) -> None:
+        by_owner: Counter = Counter()
+        for fn, hits in fired.items():
+            by_owner[self._owner_name(fn)] += hits
+        hot, hits = by_owner.most_common(1)[0]
+        raise SimulationLimitError(
+            f"simulation exceeded {limit} events at "
+            f"t={now:.1f}us with {n_queued} still queued; "
+            f"hottest callback: {hot} ({hits} of {limit} events). "
+            f"Likely an unbounded retry/reschedule loop.")

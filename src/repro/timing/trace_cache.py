@@ -50,11 +50,11 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import os
 from collections import OrderedDict
 from typing import Dict, Optional, Sequence, Tuple
 
 from .. import store as disk_store
+from ..config import env_flag
 from ..engine.events import LockstepResult
 from ..memsys.alloc import BaseAllocator
 from ..workloads.base import Microservice, Request
@@ -66,7 +66,7 @@ MAX_CACHED_EVENTS = 20_000_000
 def enabled() -> bool:
     """Trace caching is on unless ``REPRO_TRACE_CACHE=0`` (re-read per
     call, so toggling the environment mid-process works)."""
-    return os.environ.get("REPRO_TRACE_CACHE", "1") != "0"
+    return env_flag("REPRO_TRACE_CACHE", True)
 
 
 def fingerprint_requests(requests: Sequence[Request]) -> str:

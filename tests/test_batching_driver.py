@@ -86,3 +86,28 @@ def test_grouped_wakeup_waits_for_slowest_thread():
     stats = driver.run([make_io_batch(0, 0.0, [1.0, 2.0, 300.0],
                                       post_compute_us=5.0)])
     assert stats.makespan_us >= 305.0
+
+
+def test_simultaneous_wakeups_resume_in_bid_order():
+    """Two batches whose I/O completes at the same instant resume in
+    ``bid`` order, not in the order their wakeups were queued: batch 1
+    blocks first (its wake is pushed at t=24) and batch 0 second (at
+    t=26), yet at t=100 batch 0 runs first."""
+    driver = RpuDriver(context_switch_us=2.0, interrupt_handling_us=0.5,
+                       wake_policy="grouped")
+    b0 = BatchTask(0, [ComputePhase(10.0), IoPhase((1.0,)),
+                       IoPhase((73.5,)), ComputePhase(5.0)])
+    b1 = BatchTask(1, [ComputePhase(10.0), IoPhase((75.5,)),
+                       ComputePhase(7.0), IoPhase((50.0,)),
+                       ComputePhase(1.0)])
+    stats = driver.run([b1, b0])
+    # b0: in@0, compute to 12, wake 13.5; b1: in@12, compute to 24,
+    # wake 100; b0: in@24 (26), wake 100; both ready at 100:
+    # b0 in (102), +5 -> 107; b1 in (109), +7 -> 116, wake 166.5;
+    # b1 in (168.5), +1 -> 169.5
+    assert b0.finished_at == 107.0
+    assert b1.finished_at == 169.5
+    assert stats.makespan_us == 169.5
+    assert stats.context_switches == 6
+    assert stats.interrupts == 4
+    assert stats.busy_us == 33.0
