@@ -13,7 +13,8 @@ from repro.batching import form_batches
 from repro.core.run import run_batch, run_solo
 from repro.system import EndToEndConfig, run_end_to_end
 from repro.timing import (CPU_CONFIG, GPU_CONFIG, RPU_CONFIG, SMT8_CONFIG,
-                          CoreModel, batch_trace, run_chip, solo_traces)
+                          CoreModel, batch_trace, run_chip, solo_traces,
+                          trace_cache)
 from repro.workloads import get_service
 
 #: services whose recorded traces feed the timing replay bench
@@ -38,16 +39,15 @@ def test_solo_interpreter_rate(benchmark):
 
 def test_chip_model_rate(benchmark, monkeypatch):
     # a larger population and >=20 rounds keep the mean stable enough
-    # for the 30% regression gate; the trace cache and the persistent
-    # store are disabled so the measurement covers execution +
-    # streaming timing, not replay or a disk hit
-    monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
+    # for the 30% regression gate; the persistent store is disabled and
+    # the trace cache is cleared before every round, so the measurement
+    # covers execution + streaming timing, not replay or a disk hit
     monkeypatch.setenv("REPRO_CACHE", "0")
     service = get_service("mcrouter")
     requests = service.generate_requests(256, random.Random(0))
     result = benchmark.pedantic(
         lambda: run_chip(service, requests, RPU_CONFIG),
-        rounds=20, iterations=1, warmup_rounds=1)
+        setup=trace_cache.clear, rounds=20, iterations=1, warmup_rounds=1)
     benchmark.extra_info["core_cycles"] = int(result.core_cycles)
 
 

@@ -191,7 +191,7 @@ def main() -> None:
         "event processing and the memory hierarchy, the largest share "
         "of a profiled cold `run_all`), not by the instruction engine: "
         "in the end-to-end benchmark (`simbench/`) the four-design chip "
-        "workload `chip_cold` costs ~5.7 CPU-seconds per pass against "
+        "workload `chip_cold` costs ~5.1 CPU-seconds per pass against "
         "~1.4 s for the batch-execution workload `batch_fresh`. Batches "
         "run on the vectorized structure-of-arrays engine, with the "
         "reference interpreter as its oracle; running the reference "

@@ -1,18 +1,21 @@
 """Persistent content-addressed simulation result store.
 
-The in-process trace cache (:mod:`repro.timing.trace_cache`) dies with
-the process, so every ``run_all`` invocation — and every fork worker —
-re-executes work units other figures already simulated.  This module
-gives those results a content-addressed home on disk:
+Every ``run_all`` invocation — and every fork worker — would otherwise
+re-simulate work units other figures or earlier runs already finished.
+This module gives *finished results* a content-addressed home on disk:
+timed ``run_chip`` results (``chip``), fleet shards (``fleet_shard``)
+and compiled vector programs (``vcode``).  Raw executor traces are not
+stored; they live only in the in-memory trace cache
+(:mod:`repro.timing.trace_cache`).
 
 * entries live under ``REPRO_CACHE_DIR`` (default ``.repro_cache/`` in
   the current directory), one file per entry, named by a SHA-256
   *address* over (entry kind, source fingerprint of every module that
   produces the result, and the full logical key — service name, request
   population fingerprint, policy, allocator signature, reconvergence
-  override, salt/step budgets, and the timing-config digest for timed
-  entries).  Any code or configuration change produces a different
-  address, so a stale hit is structurally impossible;
+  override, salt/step budgets and timing config for ``chip`` entries).
+  Any code or configuration change produces a different address, so a
+  stale hit is structurally impossible;
 * writes are atomic (temp file in the same directory + ``os.replace``)
   and therefore safe under concurrent fork workers racing to publish
   the same or different entries — last writer wins with identical
@@ -20,7 +23,8 @@ gives those results a content-addressed home on disk:
 * reads are corruption-tolerant: a missing file, bad magic/version,
   CRC mismatch or unpicklable body counts as a miss (the damaged entry
   is unlinked so it cannot fail again);
-* the store holds at most ``REPRO_CACHE_MAX_BYTES`` (default 2 GiB);
+* the store holds at most ``REPRO_CACHE_MAX_BYTES`` (default 2 GiB; a
+  value that is not a non-negative integer raises ``ValueError``);
   beyond that, entries are evicted oldest-mtime-first, and every hit
   refreshes its entry's mtime, making eviction LRU;
 * ``REPRO_CACHE=0`` bypasses the store entirely;
@@ -30,13 +34,9 @@ gives those results a content-addressed home on disk:
   the differential fuzz oracle.
 
 Fingerprints hash the source text of whole packages, not import-time
-state: :func:`trace_fingerprint` covers everything that *produces* an
-executor trace (ISA, engine, memory system, workloads, batching, the
-core executors and the streaming recorder), while
-:func:`timed_fingerprint` additionally covers the whole timing package
-so timed entries miss when any timing model changes but raw traces
-survive timing-only edits (the cross-config reuse that motivates the
-cache).
+state: each caller passes :func:`source_fingerprint` the modules that
+produce its entries (``run_chip`` covers the executors and the whole
+timing package, so any timing edit misses).
 """
 
 from __future__ import annotations
@@ -85,13 +85,20 @@ def cache_dir() -> str:
 
 
 def max_bytes() -> int:
+    """The byte budget: unset/empty means the default, a non-negative
+    integer is taken as is (``0`` disables eviction), anything else
+    raises ``ValueError`` naming the variable and the value."""
     raw = os.environ.get("REPRO_CACHE_MAX_BYTES", "")
     if not raw:
         return DEFAULT_MAX_BYTES
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
-        return DEFAULT_MAX_BYTES
+        value = -1
+    if value < 0:
+        raise ValueError(f"REPRO_CACHE_MAX_BYTES must be a non-negative "
+                         f"integer byte count, got {raw!r}")
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -130,13 +137,6 @@ def fingerprint_paths(paths: Sequence[str]) -> str:
     return h.hexdigest()
 
 
-#: modules whose source determines an executor *trace*
-TRACE_MODULES = ("repro.isa", "repro.engine", "repro.memsys", "repro.core",
-                 "repro.batching", "repro.workloads", "repro.timing.streams")
-
-#: modules whose source determines a *timed* result (trace + timing)
-TIMED_MODULES = TRACE_MODULES + ("repro.timing",)
-
 _fp_cache: Dict[Tuple[str, ...], str] = {}
 
 
@@ -155,14 +155,6 @@ def source_fingerprint(module_names: Tuple[str, ...]) -> str:
         fp = fingerprint_paths(paths)
         _fp_cache[module_names] = fp
     return fp
-
-
-def trace_fingerprint() -> str:
-    return source_fingerprint(TRACE_MODULES)
-
-
-def timed_fingerprint() -> str:
-    return source_fingerprint(TIMED_MODULES)
 
 
 def address(kind: str, fingerprint: str, key: tuple) -> str:

@@ -194,19 +194,6 @@ class Station:
                 self._timeout_at = deadline
                 schedule(deadline, self._flush, None)
 
-    def _pick_server(self, now: float) -> float:
-        """Reserve the earliest-free server; returns the start time."""
-        free = self._free_at
-        server = 0
-        best = free[0]
-        for s in range(1, len(free)):
-            if free[s] < best:
-                best = free[s]
-                server = s
-        start = best if best > now else now
-        free[server] = start + self.occupancy_us
-        return start
-
     def _dispatch_one(self, now: float, job: Job, done: Callable) -> None:
         if self.faults is not None:
             self._serve_group_faulty(now, [job], done)

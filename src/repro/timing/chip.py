@@ -22,8 +22,8 @@ Two execution strategies produce bit-identical results:
 * ``streaming=False``: the original materialize-then-``CoreModel.run``
   pipeline, kept as the reference for differential checking.
 
-When the cross-config trace cache (:mod:`repro.timing.trace_cache`) is
-enabled, the streaming path replays memoized event streams instead of
+The streaming path replays memoized event streams from the in-memory
+cross-config trace cache (:mod:`repro.timing.trace_cache`) instead of
 re-executing.  Solo traces are keyed by the worker pool, so CPU (one
 worker) and CPU-SMT8 (64 workers) each execute their own; they are
 shared between solo configs with the same pool, e.g. CPU and the
@@ -36,8 +36,8 @@ unless they vouch for the factory by passing ``allocator_signature`` —
 the (class name, n_banks) tuple that keys the cache — asserting that
 those two values fully determine the factory's allocation behaviour.
 
-On top of the trace cache, whole *timed* results are persisted in the
-content-addressed store (:mod:`repro.store`): a ``run_chip`` call whose
+Whole *timed* results are persisted in the content-addressed store
+(:mod:`repro.store`); traces are not.  A ``run_chip`` call whose
 (service, population, config, policy, batching, allocator,
 reconvergence, warmup) tuple was ever simulated before — by any
 process, figure or fork worker with identical source — returns the
@@ -70,6 +70,10 @@ from .streams import (SoloRunner, TimingSink, batch_trace, run_batch,
 #: executor step budgets (also part of the trace-cache key)
 SOLO_MAX_STEPS = 2_000_000
 BATCH_MAX_STEPS = 4_000_000
+
+#: modules whose source determines a timed result (executors + timing)
+_FP_MODULES = ("repro.isa", "repro.engine", "repro.memsys", "repro.core",
+               "repro.batching", "repro.workloads", "repro.timing")
 
 
 @dataclass
@@ -122,7 +126,7 @@ def _allocator_for(config: CoreConfig):
 def _timed_key(service, requests, config, policy, batching, batch_size,
                reconv_override, warmup_frac, alloc_sig) -> tuple:
     """Logical identity of one timed run (content-addressed on disk
-    together with the source fingerprint of executor + timing code)."""
+    together with the source fingerprint of ``_FP_MODULES``)."""
     reconv = (tuple(sorted(reconv_override.items()))
               if reconv_override else None)
     return ("chip", service.name, trace_cache.fingerprint_requests(requests),
@@ -180,8 +184,8 @@ def run_chip(
         timed_key = _timed_key(service, requests, config, policy, batching,
                                batch_size, reconv_override, warmup_frac,
                                alloc_sig)
-        stored = disk_store.lookup("chip", disk_store.timed_fingerprint(),
-                                   timed_key)
+        fp = disk_store.source_fingerprint(_FP_MODULES)
+        stored = disk_store.lookup("chip", fp, timed_key)
         if stored is not disk_store.MISS and not disk_store.verify_enabled():
             return stored
     core = CoreModel(config)
@@ -211,8 +215,7 @@ def run_chip(
         if stored is not disk_store.MISS:  # REPRO_CACHE_VERIFY=1 hit
             _verify_timed(stored, out, timed_key)
         else:
-            disk_store.record("chip", disk_store.timed_fingerprint(),
-                              timed_key, out)
+            disk_store.record("chip", fp, timed_key, out)
     return out
 
 

@@ -27,23 +27,17 @@ is class-determined, so two fresh instances of the same class with the
 same bank count produce identical traces.  Callers with bespoke
 allocator factories must bypass the cache (``run_chip`` does).
 
-The in-memory cache is process-local.  Under the fork-based experiment
-driver (``repro.experiments.common.parallel_map``) each worker inherits
-a copy-on-write snapshot and keeps its own cache from there - no
-locking, no cross-process invalidation, and the per-task config sweeps
-(the hot reuse pattern) all happen within one worker.
-
-Since PR 5 the memory cache is additionally a *read-through* layer over
-the persistent content-addressed store (:mod:`repro.store`): a memory
-miss consults the disk store (keyed by the same logical tuple plus the
-source fingerprint of every trace-producing module), and a computed
-entry is written through, so warm traces survive both fork and process
-exit.  ``REPRO_CACHE=0`` confines caching to this process;
-``REPRO_TRACE_CACHE=0`` disables trace caching entirely (memory and
-disk).  Both variables are re-read on every query so tests and
-benchmarks can toggle them at will.  Memory entries are LRU-evicted
-once the cache holds more than ``MAX_CACHED_EVENTS`` trace events in
-total; the disk store has its own byte budget.
+The cache is process-local and in memory only.  Under the fork-based
+experiment driver (``repro.experiments.common.parallel_map``) each
+worker inherits a copy-on-write snapshot and keeps its own cache from
+there - no locking, no cross-process invalidation, and the per-task
+config sweeps (the hot reuse pattern) all happen within one worker.
+Entries are LRU-evicted once the cache holds more than
+``MAX_CACHED_EVENTS`` trace events in total.  Traces are never written
+to the persistent store: a repeated ``run_chip`` is answered from its
+timed entry there before any trace lookup, so a stored trace would
+only serve a rerun after a timing-only source edit, at the price of
+writing every trace on every cold run.
 """
 
 from __future__ import annotations
@@ -54,19 +48,12 @@ from collections import OrderedDict
 from typing import Dict, Optional, Sequence, Tuple
 
 from .. import store as disk_store
-from ..config import env_flag
 from ..engine.events import LockstepResult
 from ..memsys.alloc import BaseAllocator
 from ..workloads.base import Microservice, Request
 
 #: total events held before LRU eviction (~a few hundred MB worst case)
 MAX_CACHED_EVENTS = 20_000_000
-
-
-def enabled() -> bool:
-    """Trace caching is on unless ``REPRO_TRACE_CACHE=0`` (re-read per
-    call, so toggling the environment mid-process works)."""
-    return env_flag("REPRO_TRACE_CACHE", True)
 
 
 def fingerprint_requests(requests: Sequence[Request]) -> str:
@@ -105,8 +92,7 @@ def batch_key(service: Microservice, batch: Sequence[Request],
 
 
 class TraceCache:
-    """LRU cache of immutable trace entries, budgeted by event count,
-    backed read-through/write-through by the persistent store."""
+    """LRU cache of immutable trace entries, budgeted by event count."""
 
     def __init__(self, max_events: int = MAX_CACHED_EVENTS):
         self.max_events = max_events
@@ -115,7 +101,6 @@ class TraceCache:
         self._held_events = 0
         self.hits = 0
         self.misses = 0
-        self.disk_hits = 0
 
     def get(self, key: tuple):
         entry = self._store.get(key)
@@ -123,25 +108,12 @@ class TraceCache:
             self._store.move_to_end(key)
             self.hits += 1
             return entry
-        # read through to the persistent store; a disk entry is
-        # (n_events, value) so the memory budget stays accurate
-        disk = disk_store.lookup("trace", disk_store.trace_fingerprint(), key)
-        if disk is not disk_store.MISS:
-            n_events, value = disk
-            self._insert(key, value, n_events)
-            self.disk_hits += 1
-            return value
         self.misses += 1
         return None
 
     def put(self, key: tuple, value: tuple, n_events: int) -> None:
         if key in self._store:
             return
-        disk_store.record("trace", disk_store.trace_fingerprint(), key,
-                          (n_events, value))
-        self._insert(key, value, n_events)
-
-    def _insert(self, key: tuple, value: tuple, n_events: int) -> None:
         self._store[key] = value
         self._sizes[key] = n_events
         self._held_events += n_events
@@ -166,9 +138,9 @@ class TraceCache:
 _GLOBAL = TraceCache()
 
 
-def get_cache() -> Optional[TraceCache]:
-    """The process cache, or ``None`` when disabled by environment."""
-    return _GLOBAL if enabled() else None
+def get_cache() -> TraceCache:
+    """The process cache."""
+    return _GLOBAL
 
 
 def clear() -> None:
@@ -181,7 +153,9 @@ def stats() -> Dict[str, int]:
         "held_events": _GLOBAL.held_events,
         "hits": _GLOBAL.hits,
         "misses": _GLOBAL.misses,
-        "disk_hits": _GLOBAL.disk_hits,
+        # always 0 (traces never come from disk), read only by simbench's
+        # chip_cold isolation guard; drop when the benchmark drops it
+        "disk_hits": 0,
     }
     for k, v in disk_store.stats().items():
         out[f"store_{k}"] = v

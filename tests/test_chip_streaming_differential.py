@@ -42,8 +42,8 @@ def _observables(res):
 @pytest.mark.parametrize("label", sorted(CONFIGS))
 @pytest.mark.parametrize("svc_name", ["mcrouter", "post", "hdsearch-leaf"])
 def test_streaming_matches_materialized(svc_name, label, monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
     monkeypatch.setenv("REPRO_CACHE", "0")  # force a live compute
+    trace_cache.clear()  # no trace an earlier case recorded replays here
     config, batch_size = CONFIGS[label]
     svc = get_service(svc_name)
     reqs = svc.generate_requests(24, random.Random(7))
@@ -73,7 +73,6 @@ def _check_cache_replay(config, batch_size=None):
 
 @pytest.fixture
 def trace_cache_on(monkeypatch):
-    monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
     # the persistent store would satisfy the second run at the timed
     # level and never exercise the in-memory replay being tested here
     monkeypatch.setenv("REPRO_CACHE", "0")

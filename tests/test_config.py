@@ -4,14 +4,12 @@ import pytest
 
 from repro import store
 from repro.sanitize import sanitizer_enabled
-from repro.timing import trace_cache
 
 #: (variable, reader, default) for every on/off flag
 FLAGS = [
     ("REPRO_SANITIZE", sanitizer_enabled, False),
     ("REPRO_CACHE", store.enabled, True),
     ("REPRO_CACHE_VERIFY", store.verify_enabled, False),
-    ("REPRO_TRACE_CACHE", trace_cache.enabled, True),
 ]
 IDS = [name for name, _read, _default in FLAGS]
 

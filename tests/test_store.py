@@ -77,9 +77,12 @@ class TestFingerprint:
         assert noisy == base
 
     def test_module_fingerprints_cached_and_distinct(self):
-        assert store.trace_fingerprint() == store.trace_fingerprint()
-        # the timing package is part of timed identity only
-        assert store.timed_fingerprint() != store.trace_fingerprint()
+        from repro.timing import chip
+
+        timed = store.source_fingerprint(chip._FP_MODULES)
+        assert store.source_fingerprint(chip._FP_MODULES) == timed
+        # dropping the timing package from the tuple changes identity
+        assert store.source_fingerprint(chip._FP_MODULES[:-1]) != timed
 
 
 class TestRoundTrip:
@@ -110,6 +113,16 @@ class TestRoundTrip:
         s = store.stats()
         assert s["stores"] == 1 and s["hits"] == 1 and s["misses"] == 1
         assert s["bytes_written"] > 0 and s["bytes_read"] > 0
+
+
+class TestMaxBytes:
+    @pytest.mark.parametrize("value", ["2G", "1e9", "-1", "banana"])
+    def test_other_values_are_rejected(self, value, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", value)
+        with pytest.raises(ValueError) as exc:
+            store.max_bytes()
+        assert "REPRO_CACHE_MAX_BYTES" in str(exc.value)
+        assert repr(value) in str(exc.value)
 
 
 class TestBypass:
@@ -252,6 +265,36 @@ class TestRunChipIntegration:
 
     def _chip_entries(self, st):
         return [f for f in _entry_files(st) if f.startswith("chip-")]
+
+    def test_store_holds_only_timed_results(self, fresh_store):
+        """Cold RPU then GPU runs write one timed entry each and no
+        traces; the GPU still replays the RPU's batch traces from
+        memory, and a new process-like rerun is served by the store."""
+        from repro.timing import GPU_CONFIG, RPU_CONFIG, run_chip
+        from repro.timing import trace_cache
+        from repro.workloads import get_service
+
+        service = get_service("hdsearch-leaf")
+        requests = service.generate_requests(24, random.Random(11))
+        trace_cache.clear()
+        try:
+            run_chip(service, requests, RPU_CONFIG)
+            hits = trace_cache.stats()["hits"]
+            gpu = run_chip(service, requests, GPU_CONFIG)
+            assert trace_cache.stats()["hits"] > hits
+            files = _entry_files(fresh_store)
+            assert len(files) == 2
+            assert all(f.startswith("chip-") for f in files)
+
+            trace_cache.clear()
+            store._instances.clear()
+            misses = trace_cache.stats()["misses"]
+            again = run_chip(service, requests, GPU_CONFIG)
+            assert store.stats()["hits"] == 1
+            assert trace_cache.stats()["misses"] == misses
+            assert dataclasses.asdict(again) == dataclasses.asdict(gpu)
+        finally:
+            trace_cache.clear()
 
     def test_population_change_misses(self, fresh_store):
         from repro.timing import CPU_CONFIG, run_chip

@@ -11,11 +11,10 @@ from repro.workloads import get_service
 
 @pytest.fixture(autouse=True)
 def fresh_cache(monkeypatch):
-    # this file tests the *in-memory* layer; pin the persistent store
-    # off so its read-through/timed entries cannot satisfy lookups
-    # (tests/test_store.py covers the disk layer)
+    # this file tests the in-memory trace cache; pin the persistent
+    # store off so its timed run_chip entries cannot answer a rerun
+    # before the trace lookup (tests/test_store.py covers the store)
     monkeypatch.setenv("REPRO_CACHE", "0")
-    monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
     trace_cache.clear()
     yield
     trace_cache.clear()
@@ -110,12 +109,6 @@ class TestCacheHits:
         assert cache.get(("b",)) == ("vb",)
         assert cache.held_events <= 100
 
-    def test_env_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
-        assert trace_cache.get_cache() is None
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "1")
-        assert trace_cache.get_cache() is not None
-
 
 def _observables(res):
     return (res.core_cycles, res.latencies_cycles, dict(res.counters),
@@ -132,12 +125,19 @@ class TestRunChipWiring:
         assert trace_cache.stats()["hits"] > 0
         assert _observables(first) == _observables(second)
 
-    def test_cache_off_bit_identical(self, monkeypatch):
+    def test_cache_off_bit_identical(self):
         svc = get_service("mcrouter")
         reqs = _requests(48, seed=3)
         cached = run_chip(svc, reqs, RPU_CONFIG)
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
-        uncached = run_chip(svc, reqs, RPU_CONFIG)
+        # an unvouched allocator factory is the one uncached path; this
+        # one builds exactly the allocator run_chip would pick itself
+        before = trace_cache.stats()
+        uncached = run_chip(
+            svc, reqs, RPU_CONFIG,
+            allocator_factory=lambda: SimrAwareAllocator(
+                n_banks=RPU_CONFIG.l1_banks))
+        assert trace_cache.stats()["hits"] == before["hits"]
+        assert trace_cache.stats()["misses"] == before["misses"]
         assert _observables(cached) == _observables(uncached)
 
     def test_solo_and_batch_modes_both_cache(self):
